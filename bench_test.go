@@ -14,11 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/deflect"
 	"repro/internal/experiment"
 	"repro/internal/packet"
+	"repro/internal/resilience"
 	"repro/internal/rns"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -908,6 +910,75 @@ func BenchmarkWorldConstruction1kSwitch(b *testing.B) {
 		}
 		if w := experiment.NewWorld(g, policy, 1, experiment.WithShards(4)); w == nil {
 			b.Fatal("nil world")
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Verification: the failure sweep and its Markov-chain engine.
+
+// BenchmarkVerifySweepFattree4 measures one exhaustive single-failure
+// sweep of every ordered edge pair of fattree:4 under auto protection,
+// dtree and nip, on one worker: controller build, the failure-free
+// case of every (route, policy), and the cases on each route's path.
+func BenchmarkVerifySweepFattree4(b *testing.B) {
+	g, err := topology.FromSpec("fattree:4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	routes, err := resilience.AllPairRoutes(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := resilience.Config{Policies: []string{"dtree", "nip"}, AutoProtect: true, ProtectionLabel: "auto", Workers: 1}
+	cases := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := resilience.Sweep(g, routes, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cases += rep.Cases
+	}
+	b.ReportMetric(float64(cases)/b.Elapsed().Seconds(), "cases/s")
+}
+
+// BenchmarkAnalyzeNIPPathFailure measures one nip chain analysis of an
+// inter-pod fattree:8 route (E0→E21) with the aggregation-to-ToR link
+// at the destination pod failed: a ~300-state chain, the case the
+// verify sweep spends most of its time on.
+func BenchmarkAnalyzeNIPPathFailure(b *testing.B) {
+	g, err := topology.FromSpec("fattree:8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctrl := controller.New(g, controller.WithAutoProtection(core.PlanOptions{}))
+	route, err := ctrl.InstallRoute("E0", "E21", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := route.Path.Nodes
+	l, ok := g.LinkBetween(nodes[len(nodes)-3].Name(), nodes[len(nodes)-2].Name())
+	if !ok {
+		b.Fatal("no aggregation-to-ToR link on the path")
+	}
+	a, err := analysis.New(ctrl, "nip", []*topology.Link{l})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := a.Analyze("E0", "E21"); err != nil { // warm the re-encode cache
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := a.Analyze("E0", "E21")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.PDeliver < 0.99 {
+			b.Fatalf("PDeliver %v", res.PDeliver)
 		}
 	}
 }

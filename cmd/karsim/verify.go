@@ -151,7 +151,7 @@ func scoreTable(rep *resilience.Report) *measure.Table {
 
 func totalsTable(rep *resilience.Report) *measure.Table {
 	tbl := &measure.Table{
-		Title:   "Per-policy totals (k=1 exhaustive, k=2 sampled pairs)",
+		Title:   "Per-policy totals (" + totalsScope(rep) + ")",
 		Headers: []string{"policy", "k1-cases", "k1-survived", "k1-fraction"},
 	}
 	for _, tot := range rep.Totals {
@@ -171,6 +171,19 @@ func totalsTable(rep *resilience.Report) *measure.Table {
 		tbl.Headers = append(tbl.Headers, "k2-pairs", "k2-fraction")
 	}
 	return tbl
+}
+
+// totalsScope names what the totals cover: the exhaustive k=1 sweep,
+// plus either every two-link pair or the number of pairs sampled.
+func totalsScope(rep *resilience.Report) string {
+	switch n := rep.PairsDrawn; {
+	case n == 0:
+		return "k=1 exhaustive"
+	case n == rep.Links*(rep.Links-1)/2:
+		return fmt.Sprintf("k=1 exhaustive, k=2 all %d pairs", n)
+	default:
+		return fmt.Sprintf("k=1 exhaustive, k=2 %d sampled pairs", n)
+	}
 }
 
 func impactTable(rep *resilience.Report) *measure.Table {

@@ -10,14 +10,16 @@
 // including misdelivery re-encoding at wrong edges (the controller
 // hands the packet a fresh route ID, so the walk continues under a
 // different modulus vector). Absorption classes are delivery at the
-// destination edge and policy drops. The linear systems are solved by
-// Gaussian elimination — state spaces stay small (≈ nodes × ports ×
+// destination edge and policy drops. Both linear systems (delivery
+// probability, then expected hops) share one Gaussian-elimination
+// factorization of I - T — state spaces stay small (≈ nodes × ports ×
 // 2 per active route).
 package analysis
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/controller"
 	"repro/internal/core"
@@ -81,7 +83,7 @@ func New(ctrl *controller.Controller, policy string, failed []*topology.Link) (*
 
 // state identifies one Markov state.
 type state struct {
-	routeID   string // decimal route ID (routes are few; string keys are simple and exact)
+	route     int // index into chain.ids of the route ID in effect
 	node      *topology.Node
 	inPort    int
 	deflected bool
@@ -96,7 +98,7 @@ type chain struct {
 	trans   [][]edgeProb // per state: successor distribution
 	deliver []bool       // absorbing: delivered
 	dropped []bool       // absorbing: dropped
-	routes  map[string]rns.RouteID
+	ids     []rns.RouteID
 }
 
 type edgeProb struct {
@@ -113,10 +115,9 @@ func (a *Analyzer) buildChain(src, dst string) (*chain, int, *core.Route, error)
 		return nil, 0, nil, fmt.Errorf("analysis: no installed route %s->%s", src, dst)
 	}
 	c := &chain{
-		a:      a,
-		dst:    dst,
-		index:  make(map[state]int),
-		routes: make(map[string]rns.RouteID),
+		a:     a,
+		dst:   dst,
+		index: make(map[state]int),
 	}
 	// Seed: the packet leaves the ingress edge toward the first core.
 	first := route.Path.Nodes[1]
@@ -124,8 +125,7 @@ func (a *Analyzer) buildChain(src, dst string) (*chain, int, *core.Route, error)
 	if !ok {
 		return nil, 0, nil, fmt.Errorf("analysis: %s has no port toward %s", first, route.Path.Nodes[0])
 	}
-	start := c.intern(state{routeID: route.ID.String(), node: first, inPort: inPort, deflected: false})
-	c.routes[route.ID.String()] = route.ID
+	start := c.intern(state{route: c.routeIndex(route.ID), node: first, inPort: inPort, deflected: false})
 
 	if err := c.expand(); err != nil {
 		return nil, 0, nil, err
@@ -141,11 +141,7 @@ func (a *Analyzer) Analyze(src, dst string) (Result, error) {
 		return Result{}, err
 	}
 	c.markTrapped()
-	pDel, err := c.solveProbability()
-	if err != nil {
-		return Result{}, err
-	}
-	hops, err := c.solveHops(pDel)
+	pDel, hops, err := c.absorb()
 	if err != nil {
 		return Result{}, err
 	}
@@ -264,6 +260,19 @@ func (c *chain) intern(s state) int {
 	return i
 }
 
+// routeIndex returns id's index in c.ids, appending it when new: a
+// chain meets only the installed route and the re-encodes of the
+// edges it reaches, so a linear scan is cheap and compares by value.
+func (c *chain) routeIndex(id rns.RouteID) int {
+	for i, x := range c.ids {
+		if x.Equal(id) {
+			return i
+		}
+	}
+	c.ids = append(c.ids, id)
+	return len(c.ids) - 1
+}
+
 func (c *chain) linkUp(l *topology.Link) bool { return l != nil && !c.a.failed[l] }
 
 // chainView adapts one chain node to deflect.SwitchView so the dtree
@@ -317,7 +326,6 @@ func (c *chain) expandEdge(i int, s state) error {
 		c.dropped[i] = true
 		return nil
 	}
-	c.routes[id.String()] = id
 	l, ok := s.node.PortLink(outPort)
 	if !ok || !c.linkUp(l) {
 		c.dropped[i] = true
@@ -325,13 +333,13 @@ func (c *chain) expandEdge(i int, s state) error {
 	}
 	next := l.Other(s.node)
 	np := l.PortOf(next)
-	to := c.intern(state{routeID: id.String(), node: next, inPort: np, deflected: false})
+	to := c.intern(state{route: c.routeIndex(id), node: next, inPort: np, deflected: false})
 	c.trans[i] = []edgeProb{{to: to, p: 1}}
 	return nil
 }
 
 func (c *chain) expandCore(i int, s state) error {
-	id := c.routes[s.routeID]
+	id := c.ids[s.route]
 	port := core.Forward(id, s.node.ID())
 	span := s.node.PortSpan()
 
@@ -344,7 +352,7 @@ func (c *chain) expandCore(i int, s state) error {
 			// Deflected flag is irrelevant at edges (re-encode resets it).
 			defl = false
 		}
-		return edgeProb{to: c.intern(state{routeID: s.routeID, node: next, inPort: np, deflected: defl}), p: p}
+		return edgeProb{to: c.intern(state{route: s.route, node: next, inPort: np, deflected: defl}), p: p}
 	}
 
 	candidates := func(excludeIn bool) []int {
@@ -454,89 +462,165 @@ func (c *chain) markTrapped() {
 	}
 }
 
-// solveProbability solves D(s) = Σ T(s,t) D(t) with D=1 on delivery
-// states and D=0 on drop states.
-func (c *chain) solveProbability() ([]float64, error) {
-	m, b := c.buildSystem(func(i int) float64 {
-		if c.deliver[i] {
-			return 1
-		}
-		return 0
-	}, nil)
-	return solve(m, b)
-}
-
-// solveHops solves H(s) = Σ T(s,t)·(D(t) + H(t)) — the expected number
-// of traversals accumulated on delivering trajectories. E[hops |
-// delivered] = H(start)/D(start).
-func (c *chain) solveHops(pDel []float64) ([]float64, error) {
-	m, b := c.buildSystem(func(i int) float64 { return 0 }, func(i, j int, p float64) float64 {
-		return p * pDel[j]
-	})
-	return solve(m, b)
-}
-
-// buildSystem assembles (I - T)x = b where absorbing states pin x to
-// the boundary value and extra adds per-transition constants to b.
-func (c *chain) buildSystem(boundary func(int) float64, extra func(i, j int, p float64) float64) ([][]float64, []float64) {
+// absorb solves the chain's two absorption systems over one
+// factorization of I - T: D(s) = Σ T(s,t) D(t) with D=1 on delivery
+// states and D=0 on drop states, then H(s) = Σ T(s,t)·(D(t) + H(t)) —
+// the expected number of traversals accumulated on delivering
+// trajectories, so E[hops | delivered] = H(start)/D(start).
+func (c *chain) absorb() (pDel, hops []float64, err error) {
 	n := len(c.states)
-	m := make([][]float64, n)
+	cells, _ := cellPool.Get().(*[]float64)
+	if cells == nil || cap(*cells) < n*n {
+		buf := make([]float64, n*n)
+		cells = &buf
+	}
+	defer cellPool.Put(cells)
+	f, err := factor(c.system((*cells)[:n*n]))
+	if err != nil {
+		return nil, nil, err
+	}
 	b := make([]float64, n)
+	for i := range b {
+		if c.deliver[i] {
+			b[i] = 1
+		}
+	}
+	pDel = f.solve(b)
+	b = make([]float64, n)
+	for i := range b {
+		if c.deliver[i] || c.dropped[i] {
+			continue
+		}
+		for _, e := range c.trans[i] {
+			b[i] += e.p * pDel[e.to]
+		}
+	}
+	return pDel, f.solve(b), nil
+}
+
+// cellPool recycles the dense backing arrays of I - T: a few hundred
+// states make each one close to a megabyte, and one is needed per
+// analysis.
+var cellPool sync.Pool
+
+// system assembles I - T over cells (n×n, overwritten), with the rows
+// of absorbing states left as identity rows so that x pins to the
+// right-hand side there.
+func (c *chain) system(cells []float64) [][]float64 {
+	n := len(c.states)
+	clear(cells)
+	m := make([][]float64, n)
 	for i := range m {
-		m[i] = make([]float64, n)
+		m[i] = cells[i*n : (i+1)*n : (i+1)*n]
 		m[i][i] = 1
 		if c.deliver[i] || c.dropped[i] {
-			b[i] = boundary(i)
 			continue
 		}
 		for _, e := range c.trans[i] {
 			m[i][e.to] -= e.p
-			if extra != nil {
-				b[i] += extra(i, e.to, e.p)
-			}
 		}
 	}
-	return m, b
+	return m
 }
 
-// solve performs Gaussian elimination with partial pivoting.
-func solve(m [][]float64, b []float64) ([]float64, error) {
+// lu is a square system factored in place by Gaussian elimination
+// with partial pivoting, plus the record needed to solve it for any
+// right-hand side: the row swapped into place at each column, the
+// nonzero multipliers applied at each column (elimRow/elimF from
+// elimAt[col] to elimAt[col+1], rows numbered as they stood then), and
+// each row's nonzero columns right of the diagonal in U (uCol from
+// uAt[i] to uAt[i+1]).
+type lu struct {
+	m       [][]float64
+	piv     []int
+	elimAt  []int
+	elimRow []int
+	elimF   []float64
+	uAt     []int
+	uCol    []int
+}
+
+// factor eliminates m in place, touching only nonzeros: rows with a
+// zero in the pivot column have a zero multiplier, and the pivot row's
+// zero columns are skipped. Both skips are exact — I - T never holds a
+// -0 and elimination cannot create one (x - y is -0 only for x = -0),
+// so x - f·0 = x — and the pivot choice is unchanged, so U is bit for
+// bit what full dense elimination produces.
+func factor(m [][]float64) (*lu, error) {
 	n := len(m)
+	f := &lu{m: m, piv: make([]int, n), elimAt: make([]int, n+1), uAt: make([]int, n+1)}
+	var rows []int
 	for col := 0; col < n; col++ {
-		// Pivot.
 		pivot := col
-		for r := col + 1; r < n; r++ {
-			if abs(m[r][col]) > abs(m[pivot][col]) {
-				pivot = r
+		rows = rows[:0]
+		for r := col; r < n; r++ {
+			if v := m[r][col]; v != 0 {
+				rows = append(rows, r)
+				if abs(v) > abs(m[pivot][col]) {
+					pivot = r
+				}
 			}
 		}
 		if abs(m[pivot][col]) < 1e-12 {
 			return nil, ErrSingular
 		}
 		m[col], m[pivot] = m[pivot], m[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		// Eliminate below.
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			if f == 0 {
+		f.piv[col] = pivot
+		prow := m[col]
+		f.uAt[col] = len(f.uCol)
+		for k := col + 1; k < n; k++ {
+			if prow[k] != 0 {
+				f.uCol = append(f.uCol, k)
+			}
+		}
+		nz := f.uCol[f.uAt[col]:]
+		f.elimAt[col] = len(f.elimRow)
+		for _, r := range rows {
+			switch r {
+			case pivot:
+				continue // now the pivot row
+			case col:
+				r = pivot // swapped down
+			}
+			row := m[r]
+			x := row[col] / prow[col]
+			if x == 0 {
 				continue
 			}
-			for k := col; k < n; k++ {
-				m[r][k] -= f * m[col][k]
+			f.elimRow = append(f.elimRow, r)
+			f.elimF = append(f.elimF, x)
+			for _, k := range nz {
+				row[k] -= x * prow[k]
 			}
-			b[r] -= f * b[col]
 		}
 	}
-	// Back substitution.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
+	f.elimAt[n] = len(f.elimRow)
+	f.uAt[n] = len(f.uCol)
+	return f, nil
+}
+
+// solve returns x with (I - T)x = b, computed in place in b. It
+// replays the factorization's swaps and multipliers column by column,
+// then back-substitutes over U's nonzeros: every entry of b sees the
+// same operations, in the same order, as eliminating b alongside the
+// matrix would (the skipped zero terms are exact no-ops, since b
+// never holds a -0 either).
+func (f *lu) solve(b []float64) []float64 {
+	for col, p := range f.piv {
+		b[col], b[p] = b[p], b[col]
+		for j := f.elimAt[col]; j < f.elimAt[col+1]; j++ {
+			b[f.elimRow[j]] -= f.elimF[j] * b[col]
+		}
+	}
+	for i := len(b) - 1; i >= 0; i-- {
+		row := f.m[i]
 		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= m[i][k] * x[k]
+		for _, k := range f.uCol[f.uAt[i]:f.uAt[i+1]] {
+			sum -= row[k] * b[k]
 		}
-		x[i] = sum / m[i][i]
+		b[i] = sum / row[i]
 	}
-	return x, nil
+	return b
 }
 
 func abs(x float64) float64 {

@@ -41,17 +41,14 @@ func TestSweepContextCancelStopsPromptly(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel mid-sweep, from the first progress callback: every worker
-	// must stop at its next case boundary and the pool must drain.
+	// Cancel mid-sweep, from the first progress callback (one per
+	// finished (route, policy) block): every worker must stop at its
+	// next case boundary and the pool must drain.
 	cfg := Config{
 		Policies: []string{"none", "hp", "avp", "nip"},
 		Pairs:    50,
 		Workers:  4,
-		Progress: func(done, total int) {
-			if done == 1 {
-				cancel()
-			}
-		},
+		Progress: func(done, total int) { cancel() },
 	}
 	rep, err := SweepContext(ctx, g, routes, cfg)
 	if rep != nil {
@@ -88,27 +85,36 @@ func TestSweepContextNilAndBackgroundComplete(t *testing.T) {
 	}
 }
 
+// Progress fires once per (route, policy) block, one call at a time,
+// with done rising monotonically to the case total at any worker count.
 func TestSweepProgressReachesTotal(t *testing.T) {
 	g, err := topology.Net15()
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes := []RouteSpec{{Src: "AS1", Dst: "AS3"}, {Src: "AS1", Dst: "AS2"}}
-	var last int
-	rep, err := Sweep(g, routes, Config{
-		Policies: []string{"none", "nip"},
-		Workers:  1, // single worker keeps the callback sequential
-		Progress: func(done, total int) {
-			if done > total {
-				t.Errorf("progress overflow: %d/%d", done, total)
-			}
-			last = done
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != rep.Cases {
-		t.Fatalf("progress reached %d, want %d cases", last, rep.Cases)
+	routes := []RouteSpec{{Src: "AS1", Dst: "AS3"}, {Src: "AS1", Dst: "AS2"}, {Src: "AS3", Dst: "AS2"}}
+	for _, workers := range []int{1, 4} {
+		var calls, last int
+		rep, err := Sweep(g, routes, Config{
+			Policies: []string{"none", "nip", "dtree"},
+			Pairs:    16,
+			Workers:  workers,
+			Progress: func(done, total int) {
+				calls++
+				if done <= last || done > total {
+					t.Errorf("workers=%d: progress %d/%d after %d", workers, done, total, last)
+				}
+				last = done
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last != rep.Cases {
+			t.Errorf("workers=%d: progress reached %d, want %d cases", workers, last, rep.Cases)
+		}
+		if want := rep.Routes * len(rep.Policies); calls != want {
+			t.Errorf("workers=%d: %d progress calls, want one per block (%d)", workers, calls, want)
+		}
 	}
 }

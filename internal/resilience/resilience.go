@@ -3,20 +3,30 @@
 // hand-picked examples: for an arbitrary topology and a
 // controller-installed route set it enumerates every single-link
 // failure (plus optional seeded samples of two-link failure pairs)
-// and computes, for each (route, policy, failure) case, the exact
+// and derives, for each (route, policy, failure) case, the exact
 // delivery verdict — via the internal/analysis Markov-chain machinery
-// for the probabilistic policies and a deterministic walk for "none".
-// The sweep produces per-route resilience scores (fraction of
-// failures survived, worst-case delivery probability and stretch) and
-// a per-link blast-radius ranking of the failures that actually hurt.
+// for the probabilistic policies and a deterministic walk for "none"
+// and "dtree". The sweep produces per-route resilience scores
+// (fraction of failures survived, worst-case delivery probability and
+// stretch) and a per-link blast-radius ranking of the failures that
+// actually hurt.
 //
-// Cases fan out across a bounded worker pool with deterministic
-// sharding: jobs are enumerated in a fixed (route, policy, failure)
-// order, workers pull indices from an atomic counter, results land by
-// index, and all aggregation happens in a sequential merge pass — so
-// the report and every kar_verify_* counter are byte-identical at any
-// worker count (the same discipline as the controller's reroute
-// pool).
+// Most cases are inferred, not computed. A route's support is the set
+// of links its failure-free walk crosses; when every core on the path
+// forwards along it (and never out its input port), a failure set
+// that misses the support cannot change any policy's walk, so the
+// case's verdict is the route's failure-free one. Each (route, policy)
+// therefore computes one failure-free case plus the failures that
+// touch its support — k=1 costs route × path length instead of
+// route × links — and the report is identical to computing every case.
+//
+// Work fans out across a bounded worker pool with deterministic
+// sharding: (route, policy) blocks are enumerated in a fixed order,
+// workers pull indices from an atomic counter, results land by index,
+// and all aggregation happens in a sequential merge pass that visits
+// the cases in (route, policy, failure) order — so the report and
+// every kar_verify_* counter are byte-identical at any worker count
+// (the same discipline as the controller's reroute pool).
 package resilience
 
 import (
@@ -97,11 +107,13 @@ type Config struct {
 	Workers int
 	// Registry receives the kar_verify_* counters (nil: private).
 	Registry *telemetry.Registry
-	// Progress, when set, is called after every analyzed case with the
-	// running completion count and the total. Calls come from worker
-	// goroutines concurrently and in no deterministic order — it is a
-	// liveness channel (the serve daemon streams it), never an input to
-	// the report, which stays byte-identical with or without it.
+	// Progress, when set, is called once per finished (route, policy)
+	// block with the running count of cases done and the total case
+	// count. Calls come one at a time from the goroutine that called
+	// the sweep, so done rises monotonically at any worker count and the
+	// last call has done == total. It is a liveness channel (the serve
+	// daemon streams it), never an input to the report, which stays
+	// byte-identical with or without it.
 	Progress func(done, total int)
 }
 
@@ -218,6 +230,18 @@ type failure struct {
 	pair  bool
 }
 
+// touches reports whether the failure set includes any of links.
+func (f failure) touches(links []*topology.Link) bool {
+	for _, l := range f.links {
+		for _, s := range links {
+			if l == s {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // caseResult is one case's computed verdict.
 type caseResult struct {
 	outcome  Outcome
@@ -226,23 +250,172 @@ type caseResult struct {
 	err      error
 }
 
-// Sweep runs the exhaustive failure sweep over g for the given routes.
-// It builds its own controller (routes installed in deterministic
-// order, every re-encode pair pre-warmed) so the parallel case
-// analyses only ever read shared state.
-func Sweep(g *topology.Graph, routes []RouteSpec, cfg Config) (*Report, error) {
-	return SweepContext(context.Background(), g, routes, cfg)
+// verdict classifies an engine result.
+func verdict(res analysis.Result) caseResult {
+	cr := caseResult{pDeliver: res.PDeliver, stretch: res.Stretch()}
+	switch {
+	case res.PDeliver >= 1-surviveEps:
+		cr.outcome = Survived
+	case res.PDeliver <= surviveEps:
+		cr.outcome = Lost
+	default:
+		cr.outcome = Degraded
+	}
+	return cr
 }
 
-// SweepContext is Sweep under a cancellation context: when ctx is
-// cancelled, every worker stops at its next case boundary, the pool
-// drains, and ctx.Err() is returned with no partial report — a
-// cancelled sweep leaves no goroutines behind. A nil ctx means
-// context.Background().
-func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cfg Config) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// sweep is the state every case worker shares: read-only once
+// prepared, apart from the engineRuns counter.
+type sweep struct {
+	g          *topology.Graph
+	ctrl       *controller.Controller
+	routes     []RouteSpec
+	ingress    []*topology.Link
+	policies   []string
+	failures   []failure
+	pairsDrawn int
+
+	// engineRuns counts case-engine invocations (deterministic walks
+	// and chain analyses), so tests can prove that the sweep infers the
+	// cases it claims to.
+	engineRuns atomic.Int64
+}
+
+// computedCase is one case a block computed directly.
+type computedCase struct {
+	f   int // failure index
+	res caseResult
+}
+
+// block holds the verdicts of one (route, policy) pair: the cases
+// computed directly, in failure order, and — when inferred is set —
+// base, the verdict of every other failure.
+type block struct {
+	inferred bool
+	base     caseResult
+	computed []computedCase
+}
+
+// at returns failure f's verdict given next, the index of the first
+// computed case not yet consumed; failures must be visited in order.
+func (b *block) at(f int, next *int) caseResult {
+	if *next < len(b.computed) && b.computed[*next].f == f {
+		*next++
+		return b.computed[*next-1].res
 	}
+	return b.base
+}
+
+// support returns the links route r's failure-free walk crosses: the
+// ingress link, then the encoded port's link at every core of the
+// installed path. ok is false unless every core's encoded port leads
+// to the next path node and is not its input port. When ok holds, a
+// failure set that misses the support leaves every policy's walk
+// untouched: none, avp and nip take a healthy encoded port (nip and
+// dtree also require it to differ from the input port), hp does too
+// while undeflected, dtree's fallback scan is never reached, and no
+// other port's state is ever read — so the case's verdict is the
+// failure-free one.
+func (s *sweep) support(r int) (links []*topology.Link, ok bool) {
+	rt := s.routes[r]
+	route, ok := s.ctrl.Route(rt.Src, rt.Dst)
+	if !ok {
+		return nil, false
+	}
+	nodes := route.Path.Nodes
+	if len(nodes) < 2 || nodes[0].Name() != rt.Src || nodes[len(nodes)-1].Name() != rt.Dst {
+		return nil, false
+	}
+	inPort, ok := nodes[1].PortToward(nodes[0].Name())
+	if !ok {
+		return nil, false
+	}
+	links = []*topology.Link{s.ingress[r]}
+	for k := 1; k+1 < len(nodes); k++ {
+		n := nodes[k]
+		if n.Kind() == topology.KindEdge {
+			return nil, false
+		}
+		port := core.Forward(route.ID, n.ID())
+		l, ok := n.PortLink(port)
+		if !ok || port == inPort || l.Other(n) != nodes[k+1] {
+			return nil, false
+		}
+		links = append(links, l)
+		inPort = l.PortOf(nodes[k+1])
+	}
+	return links, true
+}
+
+// engine scores route r under policy p and the given failure set:
+// a direct walk for the deterministic policies (exact, and far cheaper
+// than expanding and solving the chain), the Markov chain otherwise.
+func (s *sweep) engine(r, p int, links []*topology.Link, failed map[*topology.Link]bool) (analysis.Result, error) {
+	s.engineRuns.Add(1)
+	rt, pol := s.routes[r], s.policies[p]
+	switch pol {
+	case "none", "dtree":
+		return walkDeterministic(s.ctrl, pol, rt.Src, rt.Dst, failed)
+	}
+	a, err := analysis.New(s.ctrl, pol, links)
+	if err != nil {
+		return analysis.Result{}, err
+	}
+	return a.Analyze(rt.Src, rt.Dst)
+}
+
+// compute derives case (r, p, f) directly.
+func (s *sweep) compute(r, p, f int) caseResult {
+	rt, fl := s.routes[r], s.failures[f]
+	failed := make(map[*topology.Link]bool, len(fl.links))
+	for _, l := range fl.links {
+		failed[l] = true
+	}
+	if !connected(s.g, rt.Src, rt.Dst, failed) {
+		return caseResult{outcome: Disconnected}
+	}
+	if failed[s.ingress[r]] {
+		// The ingress edge's programmed port feeds a dead link: the
+		// packet never reaches the first core, under any policy.
+		return caseResult{outcome: Lost}
+	}
+	res, err := s.engine(r, p, fl.links, failed)
+	if err != nil {
+		return caseResult{err: fmt.Errorf("resilience: %s->%s policy=%s failure=%s: %w",
+			rt.Src, rt.Dst, s.policies[p], fl.name, err)}
+	}
+	return verdict(res)
+}
+
+// block computes (route r, policy p): the failure-free verdict once,
+// then only the failures that touch the route's support; every other
+// failure is inferred. Without a support (or when the failure-free
+// analysis fails) every failure is computed. It reports false when
+// ctx was cancelled before the block finished.
+func (s *sweep) block(ctx context.Context, r, p int) (block, bool) {
+	var b block
+	support, ok := s.support(r)
+	if ok {
+		if res, err := s.engine(r, p, nil, nil); err == nil {
+			b.inferred, b.base = true, verdict(res)
+		}
+	}
+	for f, fl := range s.failures {
+		if b.inferred && !fl.touches(support) {
+			continue
+		}
+		if ctx.Err() != nil {
+			return b, false
+		}
+		b.computed = append(b.computed, computedCase{f: f, res: s.compute(r, p, f)})
+	}
+	return b, true
+}
+
+// prepare validates a sweep's inputs and builds its shared state:
+// routes sorted by (src, dst), the controller, and the enumerated
+// failures.
+func prepare(g *topology.Graph, routes []RouteSpec, cfg Config) (*sweep, error) {
 	if len(routes) == 0 {
 		return nil, errors.New("resilience: no routes to verify")
 	}
@@ -278,190 +451,180 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	if err != nil {
 		return nil, err
 	}
-
 	failures, pairsDrawn := enumerateFailures(g, cfg.Pairs, cfg.PairSeed)
+	return &sweep{g: g, ctrl: ctrl, routes: routes, ingress: ingress, policies: policies,
+		failures: failures, pairsDrawn: pairsDrawn}, nil
+}
 
-	// Flatten (route, policy, failure) into an indexed job list; the
-	// index is the only thing workers share.
-	type job struct{ r, p, f int }
-	jobs := make([]job, 0, len(routes)*len(policies)*len(failures))
-	for r := range routes {
-		for p := range policies {
-			for f := range failures {
-				jobs = append(jobs, job{r, p, f})
-			}
-		}
+// Sweep runs the exhaustive failure sweep over g for the given routes.
+// It builds its own controller (routes installed in deterministic
+// order, every re-encode pair pre-warmed) so the parallel case
+// analyses only ever read shared state.
+func Sweep(g *topology.Graph, routes []RouteSpec, cfg Config) (*Report, error) {
+	return SweepContext(context.Background(), g, routes, cfg)
+}
+
+// SweepContext is Sweep under a cancellation context: when ctx is
+// cancelled, every worker stops at its next case boundary, the pool
+// drains, and ctx.Err() is returned with no partial report — a
+// cancelled sweep leaves no goroutines behind. A nil ctx means
+// context.Background().
+func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cfg Config) (*Report, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	results := make([]caseResult, len(jobs))
-
-	compute := func(i int) {
-		j := jobs[i]
-		rt, pol, fl := routes[j.r], policies[j.p], failures[j.f]
-		failed := make(map[*topology.Link]bool, len(fl.links))
-		for _, l := range fl.links {
-			failed[l] = true
-		}
-		if !connected(g, rt.Src, rt.Dst, failed) {
-			results[i] = caseResult{outcome: Disconnected}
-			return
-		}
-		if failed[ingress[j.r]] {
-			// The ingress edge's programmed port feeds a dead link: the
-			// packet never reaches the first core, under any policy.
-			results[i] = caseResult{outcome: Lost}
-			return
-		}
-		var res analysis.Result
-		var caseErr error
-		switch pol {
-		case "none", "dtree":
-			// Deterministic policies score by direct walk — exact, and
-			// far cheaper than expanding and solving the chain.
-			res, caseErr = walkDeterministic(ctrl, pol, rt.Src, rt.Dst, failed)
-		default:
-			var a *analysis.Analyzer
-			a, caseErr = analysis.New(ctrl, pol, fl.links)
-			if caseErr == nil {
-				res, caseErr = a.Analyze(rt.Src, rt.Dst)
-			}
-		}
-		if caseErr != nil {
-			results[i] = caseResult{err: fmt.Errorf("resilience: %s->%s policy=%s failure=%s: %w",
-				rt.Src, rt.Dst, pol, fl.name, caseErr)}
-			return
-		}
-		cr := caseResult{pDeliver: res.PDeliver, stretch: res.Stretch()}
-		switch {
-		case res.PDeliver >= 1-surviveEps:
-			cr.outcome = Survived
-		case res.PDeliver <= surviveEps:
-			cr.outcome = Lost
-		default:
-			cr.outcome = Degraded
-		}
-		results[i] = cr
+	s, err := prepare(g, routes, cfg)
+	if err != nil {
+		return nil, err
 	}
+	return s.run(ctx, cfg)
+}
 
-	var done atomic.Int64
-	progress := func() {
-		if cfg.Progress != nil {
-			cfg.Progress(int(done.Add(1)), len(jobs))
-		}
-	}
+// run computes every block on a pool of cfg.Workers goroutines, then
+// merges them into the report.
+func (s *sweep) run(ctx context.Context, cfg Config) (*Report, error) {
+	g, routes, policies, failures := s.g, s.routes, s.policies, s.failures
 
+	// One work unit per (route, policy), indexed route-major. Workers
+	// claim indices from an atomic counter and signal each finished
+	// block; this goroutine turns the signals into Progress calls, so
+	// they come one at a time and done rises to total.
+	blocks := make([]block, len(routes)*len(policies))
+	total := len(blocks) * len(failures)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i := range jobs {
-			if ctx.Err() != nil {
-				break
-			}
-			compute(i)
-			progress()
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					compute(i)
-					progress()
+	workers = min(workers, len(blocks))
+	finished := make(chan struct{}, len(blocks)) // one send per block, so no send blocks
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(claimed.Add(1)) - 1
+				if i >= len(blocks) {
+					return
 				}
-			}()
-		}
+				b, ok := s.block(ctx, i/len(policies), i%len(policies))
+				if !ok {
+					return
+				}
+				blocks[i] = b
+				finished <- struct{}{}
+			}
+		}()
+	}
+	go func() {
 		wg.Wait()
+		close(finished)
+	}()
+	done := 0
+	for range finished {
+		done += len(failures)
+		if cfg.Progress != nil {
+			cfg.Progress(done, total)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Sequential merge: scores, impacts and telemetry in job order.
+	// Sequential merge in (route, policy, failure) order, so the first
+	// failure attaining a worst case wins at any worker count.
+	type tally struct{ cases, survived, degraded, lost, disconnected int64 }
+	tallies := make([]tally, len(policies))
+	scores := make([]RouteScore, len(blocks))
+	impact := make(map[int]*LinkImpact) // failure index (singles) -> impact
+	var errs []error
+	for i := range blocks {
+		r, p := i/len(policies), i%len(policies)
+		b, t := &blocks[i], &tallies[p]
+		sc := &scores[i]
+		*sc = RouteScore{Src: routes[r].Src, Dst: routes[r].Dst, Policy: policies[p], WorstPDeliver: 1}
+		next := 0
+		for f, fl := range failures {
+			res := b.at(f, &next)
+			if res.err != nil {
+				errs = append(errs, res.err)
+				continue
+			}
+			t.cases++
+			switch res.outcome {
+			case Disconnected:
+				t.disconnected++
+				if !fl.pair {
+					sc.Disconnected++
+				}
+				continue
+			case Survived:
+				t.survived++
+			case Degraded:
+				t.degraded++
+			case Lost:
+				t.lost++
+			}
+			if fl.pair {
+				sc.PairCases++
+				if res.outcome == Survived {
+					sc.PairSurvived++
+				}
+				continue
+			}
+			sc.Singles++
+			switch res.outcome {
+			case Survived:
+				sc.Survived++
+			case Degraded:
+				sc.Degraded++
+			case Lost:
+				sc.Lost++
+			}
+			if res.pDeliver < sc.WorstPDeliver {
+				sc.WorstPDeliver = res.pDeliver
+				sc.WorstPDeliverFailure = fl.name
+			}
+			if res.pDeliver > surviveEps && res.stretch > sc.WorstStretch {
+				sc.WorstStretch = res.stretch
+				sc.WorstStretchFailure = fl.name
+			}
+			if res.outcome != Survived {
+				im := impact[f]
+				if im == nil {
+					im = &LinkImpact{Link: fl.name, MinPDeliver: 1}
+					impact[f] = im
+				}
+				im.Affected++
+				if res.pDeliver < im.MinPDeliver {
+					im.MinPDeliver = res.pDeliver
+				}
+			}
+		}
+	}
+
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	bindHelp(reg)
 	reg.Counter("kar_verify_sweeps_total").Inc()
-
-	scores := make([]RouteScore, len(routes)*len(policies))
-	for r := range routes {
-		for p := range policies {
-			scores[r*len(policies)+p] = RouteScore{
-				Src: routes[r].Src, Dst: routes[r].Dst, Policy: policies[p],
-				WorstPDeliver: 1,
-			}
-		}
-	}
-	impact := make(map[int]*LinkImpact) // failure index (singles) -> impact
-	var errs []error
-	for i, j := range jobs {
-		res := results[i]
-		if res.err != nil {
-			errs = append(errs, res.err)
-			continue
-		}
-		pol, fl := policies[j.p], failures[j.f]
-		sc := &scores[j.r*len(policies)+j.p]
-		reg.Counter("kar_verify_cases_total", "policy", pol).Inc()
-		switch res.outcome {
-		case Disconnected:
-			reg.Counter("kar_verify_disconnected_total", "policy", pol).Inc()
-			if !fl.pair {
-				sc.Disconnected++
-			}
-			continue
-		case Survived:
-			reg.Counter("kar_verify_survived_total", "policy", pol).Inc()
-		case Degraded:
-			reg.Counter("kar_verify_degraded_total", "policy", pol).Inc()
-		case Lost:
-			reg.Counter("kar_verify_lost_total", "policy", pol).Inc()
-		}
-		if fl.pair {
-			sc.PairCases++
-			if res.outcome == Survived {
-				sc.PairSurvived++
-			}
-			continue
-		}
-		sc.Singles++
-		switch res.outcome {
-		case Survived:
-			sc.Survived++
-		case Degraded:
-			sc.Degraded++
-		case Lost:
-			sc.Lost++
-		}
-		if res.pDeliver < sc.WorstPDeliver {
-			sc.WorstPDeliver = res.pDeliver
-			sc.WorstPDeliverFailure = fl.name
-		}
-		if res.pDeliver > surviveEps && res.stretch > sc.WorstStretch {
-			sc.WorstStretch = res.stretch
-			sc.WorstStretchFailure = fl.name
-		}
-		if res.outcome != Survived {
-			im := impact[j.f]
-			if im == nil {
-				im = &LinkImpact{Link: fl.name, MinPDeliver: 1}
-				impact[j.f] = im
-			}
-			im.Affected++
-			if res.pDeliver < im.MinPDeliver {
-				im.MinPDeliver = res.pDeliver
+	for p, pol := range policies {
+		t := tallies[p]
+		for _, c := range []struct {
+			name string
+			n    int64
+		}{
+			{"kar_verify_cases_total", t.cases},
+			{"kar_verify_survived_total", t.survived},
+			{"kar_verify_degraded_total", t.degraded},
+			{"kar_verify_lost_total", t.lost},
+			{"kar_verify_disconnected_total", t.disconnected},
+		} {
+			// A series exists only once a case has counted toward it.
+			if c.n > 0 {
+				reg.Counter(c.name, "policy", pol).Add(c.n)
 			}
 		}
 	}
@@ -513,8 +676,8 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		Policies:   policies,
 		Routes:     len(routes),
 		Links:      len(g.Links()),
-		PairsDrawn: pairsDrawn,
-		Cases:      len(jobs),
+		PairsDrawn: s.pairsDrawn,
+		Cases:      total,
 		Scores:     scores,
 		Impacts:    impacts,
 		Totals:     totals,

@@ -71,7 +71,8 @@ type ProgressEvent struct {
 	// run's virtual timeline (kind "inject").
 	Injection string `json:"injection,omitempty"`
 	// SweepDone/SweepTotal report resilience-sweep case completion
-	// (kind "sweep").
+	// (kind "sweep"): one event per finished (route, policy) block,
+	// with SweepDone rising to SweepTotal on the last.
 	SweepDone  int `json:"sweep_done,omitempty"`
 	SweepTotal int `json:"sweep_total,omitempty"`
 }

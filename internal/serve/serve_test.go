@@ -451,6 +451,50 @@ func TestEventsStreamEndsWithDone(t *testing.T) {
 	}
 }
 
+// A verify job streams one sweep event per (route, policy) block —
+// not one per case — and its last sweep event reports completion.
+func TestVerifyEventsOnePerBlock(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	body := `{"topology": "net15", "protection": "auto", "policies": ["none", "nip", "dtree"], "pairs": 16, "workers": 2}`
+	resp, data := postJSON(t, ts.URL+"/v1/verify", strings.NewReader(body))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, data)
+	}
+	var st JobStatus
+	json.Unmarshal(data, &st)
+	if fin := waitTerminal(t, ts.URL, st.ID); fin.State != StateDone {
+		t.Fatalf("verify job %s (%s)", fin.State, fin.Error)
+	}
+	_, result := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
+	var rep resilience.Report
+	if err := json.Unmarshal(result, &rep); err != nil {
+		t.Fatal(err)
+	}
+
+	_, nd := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/events?format=ndjson")
+	var sweeps []scenario.ProgressEvent
+	sc := bufio.NewScanner(bytes.NewReader(nd))
+	for sc.Scan() {
+		var ev jobEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("ndjson line %q: %v", sc.Text(), err)
+		}
+		if ev.Kind == "sweep" {
+			sweeps = append(sweeps, ev.ProgressEvent)
+		}
+	}
+	if len(sweeps) == 0 {
+		t.Fatal("no sweep events")
+	}
+	if max := rep.Routes * len(rep.Policies); len(sweeps) > max {
+		t.Errorf("%d sweep events, want at most routes × policies = %d", len(sweeps), max)
+	}
+	last := sweeps[len(sweeps)-1]
+	if last.SweepDone != last.SweepTotal || last.SweepTotal != rep.Cases {
+		t.Errorf("last sweep event %d/%d, want %d/%d", last.SweepDone, last.SweepTotal, rep.Cases, rep.Cases)
+	}
+}
+
 func TestDrainFinishesInFlightAndCancelsQueued(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New(Config{QueueCap: 4, Workers: 1})

@@ -17,7 +17,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH:-BenchmarkForwardModulo|BenchmarkForwardDtree|BenchmarkSchedulerSteadyState|BenchmarkHeaderCodec|BenchmarkHeaderMarshalPooled|BenchmarkSwitchPipeline|BenchmarkCRTEncode|BenchmarkReinstallAfterFailure|BenchmarkShortestPath|BenchmarkEncodeRoute|BenchmarkReduceBatch|BenchmarkFig5PacketsPerSec|BenchmarkShardScaling|BenchmarkScale1kSwitch|BenchmarkWorldConstruction1kSwitch}"
+PATTERN="${BENCH:-BenchmarkForwardModulo|BenchmarkForwardDtree|BenchmarkSchedulerSteadyState|BenchmarkHeaderCodec|BenchmarkHeaderMarshalPooled|BenchmarkSwitchPipeline|BenchmarkCRTEncode|BenchmarkReinstallAfterFailure|BenchmarkShortestPath|BenchmarkEncodeRoute|BenchmarkReduceBatch|BenchmarkFig5PacketsPerSec|BenchmarkShardScaling|BenchmarkScale1kSwitch|BenchmarkWorldConstruction1kSwitch|BenchmarkVerifySweepFattree4|BenchmarkAnalyzeNIPPathFailure}"
 COUNT="${BENCH_COUNT:-3}"
 BENCHTIME="${BENCH_TIME:-1s}"
 OUT="${BENCH_OUT:-BENCH_$(date +%Y%m%d).json}"
