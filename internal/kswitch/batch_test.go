@@ -2,85 +2,70 @@ package kswitch
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/deflect"
-	"repro/internal/simnet"
 )
 
-// TestBatchMatchesScalarSwitchPipeline replays a Fig. 1 NIP run with a
+// TestBatchSwitchPipelineGolden replays a Fig. 1 NIP run with a
 // mid-stream failure — so packets traverse both the batched fast path
-// (on-path forwards over cached lines) and the peel-out slow path
-// (deflections through Decide) — in batch and scalar mode, and
-// requires identical deliveries, per-switch stats and a byte-identical
-// metrics dump.
-func TestBatchMatchesScalarSwitchPipeline(t *testing.T) {
-	type result struct {
-		seqs  []uint64
-		hops  []int
-		stats map[string]Stats
-		dump  string
+// (on-path forwards over cached lines at SW4, SW5 and SW11) and the
+// peel-out slow path (SW7's deflections through Decide) — and requires
+// the deliveries, per-switch stats and metrics dump recorded from the
+// event-per-packet transport that trains replaced.
+func TestBatchSwitchPipelineGolden(t *testing.T) {
+	policy, _ := deflect.ByName("nip")
+	w := newWorld(t, policy, true)
+	link, ok := w.net.Topology().LinkBetween("SW7", "SW11")
+	if !ok {
+		t.Fatal("no SW7-SW11 link")
 	}
-	run := func(opts ...simnet.Option) result {
-		policy, _ := deflect.ByName("nip")
-		w := newWorldOpts(t, policy, true, opts...)
-		link, ok := w.net.Topology().LinkBetween("SW7", "SW11")
-		if !ok {
-			t.Fatal("no SW7-SW11 link")
-		}
-		// Fail the encoded path mid-stream: early packets forward
-		// on-path, later ones deflect SW7→SW5→SW11.
-		w.net.ScheduleFailure(link, 500*time.Microsecond, 100*time.Millisecond)
-		w.inject(50)
-		w.run(time.Second)
-		res := result{stats: make(map[string]Stats)}
-		for name, sw := range w.switches {
-			res.stats[name] = sw.Stats()
-		}
-		for _, p := range w.received {
-			res.seqs = append(res.seqs, p.Seq)
-			res.hops = append(res.hops, p.Hops)
-		}
-		var buf bytes.Buffer
-		if err := w.net.Metrics().WritePrometheus(&buf); err != nil {
-			t.Fatalf("WritePrometheus: %v", err)
-		}
-		res.dump = buf.String()
-		return res
+	// Fail the encoded path before the first packet reaches SW7: every
+	// packet deflects SW7→SW5→SW11.
+	w.net.ScheduleFailure(link, 500*time.Microsecond, 100*time.Millisecond)
+	w.inject(50)
+	w.run(time.Second)
+
+	var seqs []uint64
+	var hops []int
+	for _, p := range w.received {
+		seqs = append(seqs, p.Seq)
+		hops = append(hops, p.Hops)
+	}
+	wantSeqs := make([]uint64, 50)
+	wantHops := make([]int, 50)
+	for i := range wantSeqs {
+		wantSeqs[i], wantHops[i] = uint64(i), 5
+	}
+	if !reflect.DeepEqual(seqs, wantSeqs) {
+		t.Errorf("delivered seqs %v, want 0..49 in order", seqs)
+	}
+	if !reflect.DeepEqual(hops, wantHops) {
+		t.Errorf("hop counts %v, want 5 each", hops)
 	}
 
-	batch := run()
-	scalar := run(simnet.WithScalarDataPlane())
-
-	if !reflect.DeepEqual(batch.seqs, scalar.seqs) {
-		t.Errorf("delivered seqs differ: batch %v vs scalar %v", batch.seqs, scalar.seqs)
+	on := Stats{Received: 50, Forwarded: 50}
+	defl := on
+	defl.Deflections = 50
+	wantStats := map[string]Stats{"SW4": on, "SW5": on, "SW7": defl, "SW11": on}
+	stats := make(map[string]Stats)
+	for name, sw := range w.switches {
+		stats[name] = sw.Stats()
 	}
-	if !reflect.DeepEqual(batch.hops, scalar.hops) {
-		t.Errorf("hop counts differ: batch %v vs scalar %v", batch.hops, scalar.hops)
-	}
-	if !reflect.DeepEqual(batch.stats, scalar.stats) {
-		t.Errorf("switch stats differ:\nbatch:  %+v\nscalar: %+v", batch.stats, scalar.stats)
-	}
-	if batch.dump != scalar.dump {
-		t.Error("metrics dumps differ between batch and scalar runs")
+	if !reflect.DeepEqual(stats, wantStats) {
+		t.Errorf("switch stats:\n got  %+v\n want %+v", stats, wantStats)
 	}
 
-	// Non-vacuous: the scenario must have exercised both the on-path
-	// fast path (forwards) and the peel-out slow path (deflections).
-	var forwards, deflections int64
-	for _, st := range batch.stats {
-		forwards += st.Forwarded
-		deflections += st.Deflections
+	var buf bytes.Buffer
+	if err := w.net.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
 	}
-	if forwards == 0 {
-		t.Fatal("scenario forwarded no packets")
-	}
-	if deflections == 0 {
-		t.Fatal("scenario exercised no deflections")
-	}
-	if len(batch.seqs) == 0 {
-		t.Fatal("scenario delivered no packets")
+	const wantDump = "83b9d90948a951c5f8c3aaf55ceb0514442d2b2a3b39271525869b51dd9f2efd"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != wantDump {
+		t.Errorf("metrics dump digest %x, want %s:\n%s", sum, wantDump, buf.String())
 	}
 }

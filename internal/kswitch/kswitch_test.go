@@ -27,18 +27,12 @@ type world struct {
 }
 
 func newWorld(t *testing.T, policy deflect.Policy, protected bool) *world {
-	return newWorldOpts(t, policy, protected)
-}
-
-// newWorldOpts is newWorld with extra network options (the batch
-// identity test passes simnet.WithScalarDataPlane).
-func newWorldOpts(t *testing.T, policy deflect.Policy, protected bool, opts ...simnet.Option) *world {
 	t.Helper()
 	g, err := topology.Fig1()
 	if err != nil {
 		t.Fatalf("Fig1: %v", err)
 	}
-	w := &world{net: simnet.New(g, opts...)}
+	w := &world{net: simnet.New(g)}
 	w.ctrl = controller.New(g)
 	w.switches = InstallAll(w.net, policy, 1)
 	w.edges = make(map[string]*edge.Edge)

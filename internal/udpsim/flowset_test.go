@@ -2,6 +2,8 @@ package udpsim_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -116,22 +118,23 @@ func TestFlowSetOnOffDelivery(t *testing.T) {
 }
 
 // TestFlowSetDeterminism: the same config produces byte-identical
-// metric dumps on rebuilds, across the scalar/batched data planes, and
-// across shard counts — the property the check.sh gate enforces on the
-// full scale experiment.
+// metric dumps on rebuilds and across shard counts — the property the
+// check.sh gate enforces on the full scale experiment — and the dump
+// matches the digest recorded from the event-per-packet transport that
+// packet trains replaced.
 func TestFlowSetDeterminism(t *testing.T) {
 	cfg := udpsim.SetConfig{
 		Name: "t", Flows: 2_000, Rate: 50, Seed: 9, Until: 300 * time.Millisecond,
 	}
 	stA, dumpA := runSet(t, cfg)
+	const wantDump = "382826efdeb6b6c5c1fab6717cbfd83e380b2e13131c500089cc0271b53575eb"
+	if sum := sha256.Sum256([]byte(dumpA)); hex.EncodeToString(sum[:]) != wantDump {
+		t.Errorf("metric dump digest %x, want %s", sum, wantDump)
+	}
 	variants := map[string][]experiment.WorldOption{
 		"rebuild": nil,
-		"scalar":  {experiment.WithScalarDataPlane()},
 		"shards2": {experiment.WithShards(2)},
 		"shards3": {experiment.WithShards(3)},
-		"shards2-scalar": {
-			experiment.WithShards(2), experiment.WithScalarDataPlane(),
-		},
 	}
 	for name, opts := range variants {
 		stB, dumpB := runSet(t, cfg, opts...)
