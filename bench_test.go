@@ -749,14 +749,14 @@ func BenchmarkWorldConstruction(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched data plane.
+// Packet-train data plane.
 
 // BenchmarkReduceBatch measures the word-parallel route-ID reduction
 // that prices a whole packet train in one call: the unrolled small-ID
 // lane and the wide-ID (math/big residue) lane at the train lengths
 // the coalesced data plane actually produces. The ns/pkt metric is the
 // per-member cost — compare it against BenchmarkForwardModulo's per-
-// packet scalar reduction.
+// packet reduction.
 func BenchmarkReduceBatch(b *testing.B) {
 	lanes := []struct {
 		name string
@@ -789,15 +789,14 @@ func BenchmarkReduceBatch(b *testing.B) {
 	}
 }
 
-// fig5PPS is the committed Fig. 5 packets-per-second harness: a
-// saturating small-packet CBR burst on the Fig. 5 measurement path
-// (AS1→AS3 over Net15, nip policy, full protection), one virtual
-// second per iteration. Every link runs at its queue-backed line rate,
-// so the wall-clock cost is the data plane itself — per-hop forwarding
-// plus the scheduler — and the pkts/s metric is total hop deliveries
-// over wall time. The batch/scalar ratio of this metric is the
-// headline speedup scripts/bench.sh records.
-func fig5PPS(b *testing.B, scalar bool) {
+// BenchmarkFig5PacketsPerSec is the committed Fig. 5 packets-per-second
+// harness: a saturating small-packet CBR burst on the Fig. 5
+// measurement path (AS1→AS3 over Net15, nip policy, full protection),
+// one virtual second per iteration. Every link runs at its queue-backed
+// line rate, so the wall-clock cost is the data plane itself — per-hop
+// forwarding plus the scheduler — and the pkts/s metric is total hop
+// deliveries over wall time.
+func BenchmarkFig5PacketsPerSec(b *testing.B) {
 	policy, ok := PolicyByName("nip")
 	if !ok {
 		b.Fatal("nip policy missing")
@@ -810,11 +809,7 @@ func fig5PPS(b *testing.B, scalar bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var opts []experiment.WorldOption
-		if scalar {
-			opts = append(opts, experiment.WithScalarDataPlane())
-		}
-		w := experiment.NewWorld(g, policy, 1, opts...)
+		w := experiment.NewWorld(g, policy, 1)
 		if _, err := w.InstallRoute("AS1", "AS3", topology.Net15FullProtection); err != nil {
 			b.Fatal(err)
 		}
@@ -829,15 +824,6 @@ func fig5PPS(b *testing.B, scalar bool) {
 	}
 	b.ReportMetric(float64(hops)/b.Elapsed().Seconds(), "pkts/s")
 }
-
-// BenchmarkFig5PacketsPerSec is the batched data plane (the default
-// everywhere); its pkts/s must be ≥5× the scalar variant below.
-func BenchmarkFig5PacketsPerSec(b *testing.B) { fig5PPS(b, false) }
-
-// BenchmarkFig5PacketsPerSecScalar is the event-per-packet baseline
-// (karsim -batch=false), kept unoptimized on purpose: the ratio
-// measures exactly what train coalescing and ReduceBatch buy.
-func BenchmarkFig5PacketsPerSecScalar(b *testing.B) { fig5PPS(b, true) }
 
 // ---------------------------------------------------------------------------
 // Sharded execution: datacenter-class fabrics under the million-flow

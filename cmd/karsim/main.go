@@ -45,7 +45,6 @@ type options struct {
 	duration time.Duration
 	seed     int64
 	workers  int
-	batch    bool
 	csv      bool
 	metrics  string
 	pprof    string
@@ -94,7 +93,6 @@ func run(args []string) error {
 	fs.DurationVar(&opts.duration, "duration", 6*time.Second, "virtual duration per fig5/fig7/fig8 run (paper: 5s + ramp)")
 	fs.Int64Var(&opts.seed, "seed", 1, "base random seed")
 	fs.IntVar(&opts.workers, "workers", 0, "parallel simulation workers (0 = one per CPU)")
-	fs.BoolVar(&opts.batch, "batch", true, "batched data plane (packet trains + word-parallel reduction); -batch=false runs the scalar event-per-packet path, results are byte-identical")
 	fs.BoolVar(&opts.csv, "csv", false, "emit CSV instead of aligned tables")
 	fs.StringVar(&opts.metrics, "metrics", "", "write a Prometheus-text metrics dump to this path (plus <path>.json with events) and print a MetricsReport")
 	fs.StringVar(&opts.pprof, "pprof", "", "write runtime profiles to <prefix>.{cpu,heap,mutex,block}.pprof")
@@ -287,7 +285,6 @@ func runFig4(opts options) error {
 		Workers: opts.workers,
 		Metrics: opts.collector,
 		Trace:   opts.tracer,
-		Scalar:  !opts.batch,
 	})
 	if err != nil {
 		return err
@@ -311,7 +308,6 @@ func runFig5(opts options) error {
 		Workers:     opts.workers,
 		Metrics:     opts.collector,
 		Trace:       opts.tracer,
-		Scalar:      !opts.batch,
 	})
 	if err != nil {
 		return err
@@ -328,7 +324,6 @@ func runFig7(opts options) error {
 		Workers:     opts.workers,
 		Metrics:     opts.collector,
 		Trace:       opts.tracer,
-		Scalar:      !opts.batch,
 	})
 	if err != nil {
 		return err
@@ -345,7 +340,6 @@ func runFig8(opts options) error {
 		Workers:     opts.workers,
 		Metrics:     opts.collector,
 		Trace:       opts.tracer,
-		Scalar:      !opts.batch,
 	})
 	if err != nil {
 		return err
@@ -392,7 +386,6 @@ func runReaction(opts options) error {
 		Workers:      opts.workers,
 		Metrics:      opts.collector,
 		Trace:        opts.tracer,
-		Scalar:       !opts.batch,
 	})
 	if err != nil {
 		return err
@@ -404,7 +397,7 @@ func runReaction(opts options) error {
 // runScale is the datacenter-scale workload: a generated fabric
 // (fattree:28 ≈ 1k switches), a million-flow population, and -shards
 // parallel regions under conservative lookahead. The metrics dump is
-// byte-identical for every -shards/-workers/-batch combination —
+// byte-identical for every -shards/-workers combination —
 // scripts/check.sh gates on it.
 func runScale(opts options) error {
 	res, err := experiment.Scale(experiment.ScaleConfig{
@@ -417,7 +410,6 @@ func runScale(opts options) error {
 		FailLinks: opts.failLinks,
 		Duration:  opts.duration,
 		Seed:      opts.seed,
-		Scalar:    !opts.batch,
 		Metrics:   opts.collector,
 		Trace:     opts.tracer,
 	})

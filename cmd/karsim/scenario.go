@@ -22,7 +22,6 @@ func runScenario(opts options) (*scenario.Verdict, error) {
 		Workers: opts.workers,
 		Metrics: opts.collector,
 		Trace:   opts.tracer,
-		Scalar:  !opts.batch,
 	})
 	if err != nil {
 		return nil, err

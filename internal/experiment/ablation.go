@@ -120,8 +120,6 @@ type ReactionConfig struct {
 	// Trace, when non-nil, collects each strategy world's
 	// flight-recorder trace under the same label.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
 }
 
 // ReactionComparison contrasts KAR's data-plane reaction with the
@@ -167,9 +165,6 @@ func Reaction(cfg ReactionConfig) ([]ReactionRow, error) {
 		var opts []WorldOption
 		if s.reactive {
 			opts = append(opts, WithFailureReaction(), WithControlWorkers(cfg.Workers))
-		}
-		if cfg.Scalar {
-			opts = append(opts, WithScalarDataPlane())
 		}
 		w := NewWorld(g, mustPolicy(s.policy), cfg.Seed, opts...)
 		recorder := cfg.Trace.Attach(w.Net)

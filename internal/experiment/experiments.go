@@ -107,8 +107,6 @@ type Fig4Config struct {
 	Metrics *telemetry.Collector
 	// Trace optionally collects every run's flight-recorder trace.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
 }
 
 func (c Fig4Config) defaults() Fig4Config {
@@ -166,7 +164,6 @@ func Fig4(cfg Fig4Config) ([]Fig4Series, error) {
 				Policy:           policy,
 				Metrics:          cfg.Metrics,
 				Trace:            cfg.Trace,
-				Scalar:           cfg.Scalar,
 				Seed:             cfg.Seed + int64(i),
 				Src:              "AS1",
 				Dst:              "AS3",
@@ -237,8 +234,6 @@ type Fig5Config struct {
 	Metrics *telemetry.Collector
 	// Trace optionally collects every run's flight-recorder trace.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
 }
 
 func (c Fig5Config) defaults() Fig5Config {
@@ -295,7 +290,6 @@ func Fig5(cfg Fig5Config) ([]Fig5Row, error) {
 					Policy:           policy,
 					Metrics:          cfg.Metrics,
 					Trace:            cfg.Trace,
-					Scalar:           cfg.Scalar,
 					Src:              "AS1",
 					Dst:              "AS3",
 					Protection:       pairs,
@@ -355,8 +349,6 @@ type Fig7Config struct {
 	Metrics *telemetry.Collector
 	// Trace optionally collects every run's flight-recorder trace.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
 }
 
 func (c Fig7Config) defaults() Fig7Config {
@@ -407,7 +399,6 @@ func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
 			Policy:           "nip",
 			Metrics:          cfg.Metrics,
 			Trace:            cfg.Trace,
-			Scalar:           cfg.Scalar,
 			Src:              "EDGE-N",
 			Dst:              "EDGE-SP",
 			Protection:       topology.RNP28PartialProtection,
@@ -469,8 +460,6 @@ type Fig8Config struct {
 	Metrics *telemetry.Collector
 	// Trace optionally collects every run's flight-recorder trace.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
 }
 
 func (c Fig8Config) defaults() Fig8Config {
@@ -513,7 +502,6 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		Policy:           "nip",
 		Metrics:          cfg.Metrics,
 		Trace:            cfg.Trace,
-		Scalar:           cfg.Scalar,
 		Src:              "EDGE-N",
 		Dst:              "EDGE-SUL",
 		Path:             topology.RNP28Fig8Route,

@@ -64,10 +64,6 @@ type TCPRunConfig struct {
 	// commits its records under the same run label as Metrics — the
 	// karsim -trace-export collection point.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (karsim -batch=false).
-	// Results are byte-identical either way; this is the comparison
-	// baseline for the check.sh identity gate and the benchmarks.
-	Scalar bool
 }
 
 // TCPRunResult carries one run's measurements.
@@ -111,11 +107,7 @@ func RunTCP(cfg TCPRunConfig) (*TCPRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var worldOpts []WorldOption
-	if cfg.Scalar {
-		worldOpts = append(worldOpts, WithScalarDataPlane())
-	}
-	w := NewWorld(g, policy, cfg.Seed, worldOpts...)
+	w := NewWorld(g, policy, cfg.Seed)
 	// Attach the flight recorder before any route install, so the
 	// initial ingress programming lands on the control-plane timeline.
 	recorder := cfg.Trace.Attach(w.Net)

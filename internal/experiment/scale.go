@@ -48,8 +48,6 @@ type ScaleConfig struct {
 	// Seed drives pair selection, per-pair arrival RNGs and switch
 	// RNGs.
 	Seed int64
-	// Scalar disables the batched data plane (karsim -batch=false).
-	Scalar bool
 	// Metrics and Trace are the karsim collection points; labels are
 	// derived from the workload alone — never from Shards or worker
 	// count — so dumps are comparable across execution modes.
@@ -144,7 +142,6 @@ func Scale(cfg ScaleConfig) (*ScaleResult, error) {
 	w := NewWorld(g, policy, cfg.Seed,
 		WithShards(cfg.Shards),
 		WithWorldEventCapacity(max(65536, 8*cfg.Pairs)),
-		scalarOption(cfg.Scalar),
 	)
 	recorder := cfg.Trace.Attach(w.Net)
 
@@ -253,11 +250,4 @@ func ScaleTable(r *ScaleResult) *measure.Table {
 	tbl.AddRow("pkts/s-wall", fmt.Sprintf("%.0f", r.PacketsPerSec()))
 	tbl.AddRow("hops/s-wall", fmt.Sprintf("%.0f", r.HopsPerSec()))
 	return tbl
-}
-
-func scalarOption(scalar bool) WorldOption {
-	if scalar {
-		return WithScalarDataPlane()
-	}
-	return func(*worldConfig) {}
 }

@@ -46,9 +46,6 @@ func NewWorld(g *topology.Graph, policy deflect.Policy, seed int64, opts ...Worl
 	if cfg.detectDown > 0 || cfg.detectUp > 0 {
 		netOpts = append(netOpts, simnet.WithDetectionDelay(cfg.detectDown, cfg.detectUp))
 	}
-	if cfg.scalarDataPlane {
-		netOpts = append(netOpts, simnet.WithScalarDataPlane())
-	}
 	if cfg.shards > 1 {
 		netOpts = append(netOpts, simnet.WithShards(cfg.shards))
 	}
@@ -85,7 +82,6 @@ type worldConfig struct {
 	detectDown      time.Duration
 	detectUp        time.Duration
 	metricLabels    []string
-	scalarDataPlane bool
 	shards          int
 	eventCap        int
 	autoProtect     bool
@@ -128,13 +124,6 @@ func WithControlWorkers(n int) WorldOption {
 // multi-run dumps stay separable per run.
 func WithWorldMetricLabels(kv ...string) WorldOption {
 	return func(c *worldConfig) { c.metricLabels = append(c.metricLabels, kv...) }
-}
-
-// WithScalarDataPlane builds the world's network without packet-train
-// batching (see simnet.WithScalarDataPlane). Results are identical in
-// both modes — this exists for the byte-identity gate and benchmarks.
-func WithScalarDataPlane() WorldOption {
-	return func(c *worldConfig) { c.scalarDataPlane = true }
 }
 
 // WithShards partitions the world's network into n region shards that

@@ -79,7 +79,7 @@ type Switch struct {
 	cDeflections [causeCount]*telemetry.Counter
 
 	// Deferred views of the two per-hop counters, used only on the
-	// batched fast path; the scalar path and every slow-path arm keep
+	// batched fast path; the per-packet path and every slow-path arm keep
 	// the atomic cells (they are rare enough not to matter, and the
 	// controller's workers may read them concurrently mid-step).
 	dReceived  *simnet.DeferredCounter
@@ -104,8 +104,8 @@ type Switch struct {
 // link is up", the policy requires for an on-path forward. These
 // mirror the leading non-random branch of each Decide — the branch
 // that consumes no RNG — so taking the fast path exactly when the
-// predicate holds leaves the switch's RNG stream identical to a
-// scalar run.
+// predicate holds leaves the switch's RNG stream identical to running
+// Decide on every packet.
 const (
 	fastOff = iota // unknown policy: always run Decide
 	fastAny        // none, avp: encoded port up
@@ -215,9 +215,9 @@ func (s *Switch) BatchReducer() (rns.Reducer, bool) {
 // HandleBatchPacket implements simnet.BatchHandler: HandlePacket with
 // the modulo already reduced train-side. Packets the batch machinery
 // cannot prove equivalent peel out: sampled packets re-enter the full
-// scalar pipeline (flight-recorder hooks; the on-path Decide consumes
+// per-packet pipeline (flight-recorder hooks; the on-path Decide consumes
 // no RNG, so the peel costs nothing in determinism), and any packet
-// failing the policy's on-path predicate falls through to the scalar
+// failing the policy's on-path predicate falls through to the per-packet
 // decision path — deflection-cause counters, event-log dedup and
 // policy RNG draws happen exactly as they would have.
 func (s *Switch) HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint16) {
@@ -244,7 +244,7 @@ func (s *Switch) HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint1
 					ok = port != inPort
 				}
 				if ok {
-					// On-path forward: the scalar path's Decide would
+					// On-path forward: the per-packet path's Decide would
 					// have returned {Port: port} without touching the
 					// RNG; counters match its non-deflected arm.
 					s.dForwarded.Inc()
@@ -257,7 +257,7 @@ func (s *Switch) HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint1
 	s.decide(pkt, inPort)
 }
 
-// decide is the policy pipeline shared by the scalar path and the
+// decide is the policy pipeline shared by the per-packet path and the
 // batched slow path: run Decide, account drops and deflections,
 // forward.
 func (s *Switch) decide(pkt *packet.Packet, inPort int) {

@@ -34,8 +34,6 @@ type RunOptions struct {
 	// Trace, when set, attaches a flight recorder to every run's world
 	// and collects the records under the same label.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
 	// MetricPrefix is prepended to every collector run label (e.g.
 	// "job=j000042/" under the serve daemon), keeping concurrent jobs'
 	// event streams separable in one collector. Empty for the CLI.
@@ -322,7 +320,7 @@ func RunFile(path string, opts RunOptions) (*Verdict, error) {
 }
 
 func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunResult, error) {
-	coll, traces, scalar := opts.Metrics, opts.Trace, opts.Scalar
+	coll, traces := opts.Metrics, opts.Trace
 	seed := spec.Seed + int64(idx)*1_000_003
 	g, err := BuildTopology(spec.Topology)
 	if err != nil {
@@ -350,9 +348,6 @@ func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunRes
 		if det.React {
 			worldOpts = append(worldOpts, experiment.WithFailureReaction())
 		}
-	}
-	if scalar {
-		worldOpts = append(worldOpts, experiment.WithScalarDataPlane())
 	}
 	if AutoProtection(spec.Protection) {
 		worldOpts = append(worldOpts, experiment.WithAutoProtection())

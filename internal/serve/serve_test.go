@@ -299,6 +299,26 @@ func TestScenarioDtreeAutoRunsToDone(t *testing.T) {
 	}
 }
 
+// waitRunning polls until the worker has taken job id off the queue.
+func waitRunning(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, data := getBody(t, base+"/v1/jobs/"+id)
+		var st JobStatus
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State == StateRunning {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started: %s", id, st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // blockingServer wires an execHook whose jobs block until released.
 func blockingServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan struct{}) {
 	s, ts := startServer(t, cfg)
@@ -369,21 +389,7 @@ func TestCancelQueuedAndRunningJobs(t *testing.T) {
 	if st := waitTerminal(t, ts.URL, queued); st.State != StateCancelled {
 		t.Fatalf("queued job cancelled to %s", st.State)
 	}
-	// Give the worker a moment to have actually started the first job.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, data := getBody(t, ts.URL+"/v1/jobs/"+running)
-		var st JobStatus
-		json.Unmarshal(data, &st)
-		resp.Body.Close()
-		if st.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started: %s", st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRunning(t, ts.URL, running)
 	del(running)
 	if st := waitTerminal(t, ts.URL, running); st.State != StateCancelled {
 		t.Fatalf("running job cancelled to %s", st.State)
@@ -520,6 +526,8 @@ func TestDrainFinishesInFlightAndCancelsQueued(t *testing.T) {
 	}
 	inflight := submit()
 	queued := submit()
+	// Drain must find the first job in flight, not still queued.
+	waitRunning(t, ts.URL, inflight)
 
 	// Release the in-flight job once drain begins, then shut down.
 	go func() {
@@ -572,6 +580,7 @@ func TestDrainDeadlineCancelsStuckJobs(t *testing.T) {
 	}
 	var st JobStatus
 	json.Unmarshal(data, &st)
+	waitRunning(t, ts.URL, st.ID)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -700,6 +709,7 @@ func TestBadRequestsRejected(t *testing.T) {
 		{"/v1/scenarios", `{"spec": {"name": "x"}}`},                      // invalid spec
 		{"/v1/scenarios", `{"nope": 1}`},                                  // unknown field
 		{"/v1/scenarios", `{}`},                                           // no spec
+		{"/v1/scenarios", `{"spec": ` + tinySpec + `, "scalar": true}`},   // removed field
 		{"/v1/verify", `{}`},                                              // no topology
 		{"/v1/verify", `{"topology": "net15", "routes": "x"}`},            // bad route syntax
 		{"/v1/verify", `{"topology": "fattree:4", "protection": "full"}`}, // generated + protection

@@ -2,14 +2,13 @@ package simnet
 
 import "repro/internal/telemetry"
 
-// DeferredCounter wraps a telemetry.Counter for the batched data
-// plane's per-hop hot path. In scalar mode every Inc passes straight
-// through; in batch mode increments accumulate in a plain field and
-// flush to the (atomic) backing counter at observation boundaries —
-// before any evtFunc dispatch, before drop hooks, and when Step or
-// RunUntil returns. Since every way to observe a counter (metric
-// dumps, LineStats, phase stats, control-plane callbacks) runs at one
-// of those boundaries, observed values are identical in both modes;
+// DeferredCounter wraps a telemetry.Counter for the data plane's
+// per-hop hot path. Increments accumulate in a plain field and flush
+// to the (atomic) backing counter at observation boundaries — before
+// any scheduler callback, before drop hooks, and when Step or RunUntil
+// returns. Since every way to observe a counter (metric dumps,
+// LineStats, phase stats, control-plane callbacks) runs at one of
+// those boundaries, observed values equal per-increment atomic adds;
 // what changes is six LOCK-prefixed adds per hop becoming six plain
 // adds plus one amortized flush.
 //
@@ -23,10 +22,9 @@ type DeferredCounter struct {
 	n       *Network
 }
 
-// DeferCounter wraps c for batched-hot-path increments on this
-// network. Multiple wrappers may share one backing counter (the
-// scalar and peel-out paths keep incrementing it directly; sums
-// interleave freely).
+// DeferCounter wraps c for hot-path increments on this network.
+// Multiple wrappers may share one backing counter (peel-out paths keep
+// incrementing it directly; sums interleave freely).
 func (n *Network) DeferCounter(c *telemetry.Counter) *DeferredCounter {
 	return &DeferredCounter{c: c, n: n}
 }
@@ -34,14 +32,14 @@ func (n *Network) DeferCounter(c *telemetry.Counter) *DeferredCounter {
 // Inc adds 1.
 func (d *DeferredCounter) Inc() { d.Add(1) }
 
-// Add accumulates v, deferring the atomic update in batch mode.
-// Inside a parallel shard window increments pass straight through to
+// Add accumulates v, deferring the atomic update. Inside a parallel
+// shard window increments pass straight through to
 // the atomic backing counter instead: lanes run concurrently there, so
 // the single-goroutine deferral contract does not hold, and atomic
 // adds commute — total counts (all any observer can see, since
 // observation points sit at window barriers) are unchanged.
 func (d *DeferredCounter) Add(v int64) {
-	if !d.n.batch || d.n.inWindow {
+	if d.n.inWindow {
 		d.c.Add(v)
 		return
 	}
@@ -56,8 +54,7 @@ func (d *DeferredCounter) Add(v int64) {
 func (d *DeferredCounter) Value() int64 { return d.c.Value() + d.pending }
 
 // DeferredHistogram wraps a telemetry.Histogram the same way
-// DeferredCounter wraps a counter: in batch mode samples accumulate
-// in local (unlocked) buckets plus a local count and sum, and fold
+// DeferredCounter wraps a counter: samples accumulate in local (unlocked) buckets plus a local count and sum, and fold
 // into the backing histogram via Merge at flush boundaries. Values
 // must be integral for the local float sum to stay byte-identical to
 // per-sample Observe calls (see Merge); the data plane observes only
@@ -71,18 +68,17 @@ type DeferredHistogram struct {
 	w      *Network
 }
 
-// DeferHistogram wraps h for batched-hot-path observations on this
-// network.
+// DeferHistogram wraps h for hot-path observations on this network.
 func (n *Network) DeferHistogram(h *telemetry.Histogram) *DeferredHistogram {
 	return &DeferredHistogram{h: h, counts: make([]int64, h.NumBuckets()), w: n}
 }
 
-// Observe records one sample, deferring the locked histogram update
-// in batch mode. Parallel shard windows pass through to the mutexed
+// Observe records one sample, deferring the locked histogram update.
+// Parallel shard windows pass through to the mutexed
 // histogram (same reasoning as DeferredCounter.Add: bucket counts and
 // integral sums commute, so barrier-time observations are identical).
 func (d *DeferredHistogram) Observe(v float64) {
-	if !d.w.batch || d.w.inWindow {
+	if d.w.inWindow {
 		d.h.Observe(v)
 		return
 	}
@@ -100,7 +96,7 @@ func (d *DeferredHistogram) Observe(v float64) {
 // load-bearing under sharding: inside parallel windows the dirty lists
 // are always empty (Add/Observe pass through), and returning before
 // any slice-header write keeps concurrent no-op flushes from lane
-// evtFunc dispatches race-free.
+// callback dispatches race-free.
 func (n *Network) flushCounters() {
 	if len(n.dirty) == 0 && len(n.dirtyH) == 0 {
 		return

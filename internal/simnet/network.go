@@ -105,31 +105,30 @@ type TraceSink interface {
 }
 
 // dirState models one direction of a link: a FIFO transmission queue
-// feeding a fixed-rate serializer. Counters live in the network's
+// feeding a fixed-rate serializer, and the train carrying its packets
+// to the receiving endpoint (train.go). Counters live in the network's
 // telemetry registry (labelled link/dir); the handles are cached here
 // to keep the send path off the registry's mutex, and the receiving
-// endpoint is resolved once at construction so per-packet delivery
-// events carry no closures.
+// endpoint is resolved once at construction.
 type dirState struct {
 	busyUntil time.Duration
-	queued    int
+	// releases holds the occupied queue slots, drained lazily by the
+	// sender.
+	releases releaseRing
 
 	// Receiving endpoint of this direction, fixed by the topology.
 	dst     *topology.Node
 	dstPort int
 
 	// Sharded execution (see shard.go). lane is the scheduler of the
-	// shard owning the *sending* node — the only lane that may post
-	// this direction's events; dstLane owns the receiving node. ent is
-	// this direction's tie-break entity; noBatch marks cut (cross-
-	// shard) directions, which stay on the scalar two-event path so a
-	// delivery is a self-contained message rather than shared train
-	// state. In a 1-shard world lane == dstLane == the network
-	// scheduler and noBatch is false everywhere.
+	// shard owning the *sending* node — the only lane that stamps this
+	// direction's keys and drains its releases; dstLane owns the
+	// receiving node and the train. ent is this direction's tie-break
+	// entity. A direction with lane != dstLane is a cut direction. In
+	// a 1-shard world lane == dstLane == the network scheduler.
 	lane    *Scheduler
 	dstLane *Scheduler
 	ent     uint32
-	noBatch bool
 
 	// Registry-backed counters.
 	sentPackets   *DeferredCounter
@@ -137,8 +136,7 @@ type dirState struct {
 	queueDrops    *telemetry.Counter
 	inFlightDrops *telemetry.Counter
 
-	// train is this direction's batched transmission state (batch mode
-	// only; see train.go).
+	// train is this direction's in-transit packets (see train.go).
 	train train
 }
 
@@ -225,7 +223,7 @@ type Network struct {
 	events  *telemetry.EventLog
 
 	// Cached hot-path counter handles. dDelivered/dSends are the
-	// batch-deferred views of cDelivered/cSends (see defercount.go);
+	// deferred views of cDelivered/cSends (see defercount.go);
 	// dirty lists deferred counters with unflushed increments.
 	cDelivered *telemetry.Counter
 	cSends     *telemetry.Counter
@@ -234,11 +232,6 @@ type Network struct {
 	dirty      []*DeferredCounter
 	dirtyH     []*DeferredHistogram
 	cDrops     [dropReasonCount + 1]*telemetry.Counter
-
-	// batch selects the packet-train data plane (default on; see
-	// train.go). Scalar mode keeps the original two-events-per-packet
-	// path so check.sh can byte-compare the two.
-	batch bool
 
 	// Sharded execution (see shard.go). lanes[i] is shard i's
 	// scheduler; with one shard, lanes[0] == sched (the legacy single-
@@ -264,7 +257,6 @@ type netConfig struct {
 	eventCap   int
 	detectDown time.Duration
 	detectUp   time.Duration
-	scalar     bool
 	shards     int
 }
 
@@ -293,16 +285,6 @@ func WithDetectionDelay(down, up time.Duration) Option {
 		c.detectDown = down
 		c.detectUp = up
 	}
-}
-
-// WithScalarDataPlane disables packet-train batching: every packet
-// costs its own queue-release and delivery events, as before the
-// batched data plane existed. Batched and scalar runs on the same seed
-// produce byte-identical metric dumps and trace exports (check.sh
-// gates on it); scalar mode exists as that oracle and as the perf
-// baseline.
-func WithScalarDataPlane() Option {
-	return func(c *netConfig) { c.scalar = true }
 }
 
 // WithShards partitions the world into n parallel regions (see
@@ -339,7 +321,6 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 		metrics:    telemetry.NewRegistry(telemetry.WithBaseLabels(cfg.baseLabels...)),
 		detectDown: cfg.detectDown,
 		detectUp:   cfg.detectUp,
-		batch:      !cfg.scalar,
 	}
 	// Tie-break entity layout: 0 is the control plane, 1..len(nodes)
 	// the nodes (per-node timers), then two entities per link (one per
@@ -367,10 +348,8 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 			n.lanes[i].Reserve(perLane)
 		}
 	}
-	if n.batch {
-		for _, lane := range n.lanes {
-			lane.trains = make([]*train, 0, 2*len(links)/shards+8)
-		}
+	for _, lane := range n.lanes {
+		lane.trains = make([]*train, 0, 2*len(links)/shards+8)
 	}
 	n.events = telemetry.NewEventLog(cfg.eventCap, n.sched.Now)
 	n.events.SetEvictedCounter(n.metrics.Counter("kar_events_evicted_total"))
@@ -383,11 +362,9 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	n.cSends = n.metrics.Counter("kar_net_sends_total")
 	n.dDelivered = n.DeferCounter(n.cDelivered)
 	n.dSends = n.DeferCounter(n.cSends)
-	if n.batch {
-		n.sched.flush = n.flushCounters
-		for _, lane := range n.lanes {
-			lane.flush = n.flushCounters
-		}
+	n.sched.flush = n.flushCounters
+	for _, lane := range n.lanes {
+		lane.flush = n.flushCounters
 	}
 	for r := DropReason(1); r < dropReasonCount; r++ {
 		n.cDrops[r] = n.metrics.Counter("kar_net_drops_total", "reason", r.String())
@@ -416,20 +393,14 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 				inFlightDrops: n.metrics.Counter("kar_link_inflight_drops_total", "link", l.Name(), "dir", dir),
 			}
 			ds := &line.dirs[d]
-			if ds.lane != ds.dstLane {
-				// Cut direction: deliveries cross shards as scalar
-				// messages, and its propagation delay bounds the
+			if ds.lane != ds.dstLane && (n.lookahead == 0 || line.delay < n.lookahead) {
+				// A cut direction's propagation delay bounds the
 				// conservative window.
-				ds.noBatch = true
-				if n.lookahead == 0 || line.delay < n.lookahead {
-					n.lookahead = line.delay
-				}
+				n.lookahead = line.delay
 			}
-			if n.batch && !ds.noBatch {
-				tr := &ds.train
-				tr.line, tr.dir, tr.hpos = line, uint8(d), -1
-				tr.members = make([]trainMember, 0, 16)
-			}
+			tr := &ds.train
+			tr.line, tr.dir, tr.hpos = line, uint8(d), -1
+			tr.members = make([]trainMember, 0, 16)
 		}
 		n.lines[l] = line
 	}
@@ -444,9 +415,6 @@ func (n *Network) Shards() int { return len(n.lanes) }
 // minimum propagation delay over links that cross shard boundaries
 // (zero in a 1-shard world, where no link does).
 func (n *Network) Lookahead() time.Duration { return n.lookahead }
-
-// Batching reports whether the packet-train data plane is active.
-func (n *Network) Batching() bool { return n.batch }
 
 // Scheduler returns the network's virtual clock and event queue.
 func (n *Network) Scheduler() *Scheduler { return n.sched }
@@ -492,7 +460,7 @@ func (n *Network) Trace() TraceSink { return n.trace }
 // hook has observed them (hooks must copy, never retain).
 func (n *Network) Drop(pkt *packet.Packet, reason DropReason, where string) {
 	// Drop hooks may read metrics; surface any deferred increments
-	// first so both data planes observe identical values.
+	// first so they observe up-to-date values.
 	if len(n.dirty) > 0 || len(n.dirtyH) > 0 {
 		n.flushCounters()
 	}
@@ -593,13 +561,11 @@ func (n *Network) SendOnLine(line *Line, dir uint8, pkt *packet.Packet) {
 }
 
 // enqueue queues pkt on one link direction: tail-drop check, FIFO
-// serialization, then either the scalar pair of scheduler events or a
-// train member append (batch mode). The two arms bump identical
-// counters in identical order and allocate identical tie-break keys
-// from the direction's entity, which is what keeps batched and scalar
-// runs byte-identical. Cut (cross-shard) directions always take the
-// scalar arm; their delivery event is routed to the receiving shard's
-// lane (buffered in the sender's outbox during parallel windows).
+// serialization, then a member for the direction's train. The release
+// key and the delivery key come from the direction's entity, in that
+// order, on the sending lane. A cut (cross-shard) direction's train
+// belongs to the receiving lane: inside a parallel window the member
+// waits in the sender's outbox until the barrier.
 func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	ds := &line.dirs[dir]
 	lane := ds.lane
@@ -613,17 +579,8 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	if n.sched != lane && n.sched.now > now {
 		now, cur = n.sched.now, n.sched.curKey
 	}
-	batch := n.batch && !ds.noBatch
-	if batch {
-		tr := &ds.train
-		line.drainDeq(tr, now, cur)
-		tr.compact()
-		if tr.pendingQueue() >= line.queueCap {
-			ds.queueDrops.Inc()
-			n.Drop(pkt, DropQueueFull, line.link.Name())
-			return
-		}
-	} else if ds.queued >= line.queueCap {
+	ds.releases.drain(now, cur)
+	if ds.releases.n >= line.queueCap {
 		ds.queueDrops.Inc()
 		n.Drop(pkt, DropQueueFull, line.link.Name())
 		return
@@ -642,57 +599,16 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 		n.trace.PacketTx(pkt, line.link.Name(), start-now, txTime)
 	}
 
-	if batch {
-		n.enqueueBatch(line, dir, pkt, done, start)
-		return
-	}
-	ds.queued++
-	lane.post(done, ds.ent, event{kind: evtDequeue, ds: ds})
-	ev := event{
-		at:   done + line.delay,
-		key:  lane.allocKey(ds.ent),
-		kind: evtDeliver, dir: uint8(dir), line: line, pkt: pkt, txStart: start,
-	}
-	switch {
-	case ds.dstLane == lane:
-		lane.push(ev)
-	case n.inWindow:
-		// Parallel window: lanes may not touch each other's heaps.
-		// Buffer in the sender's outbox; the barrier drains it. The
-		// lookahead bound guarantees ev.at lands at or after the
+	ds.releases.push(release{at: done, key: lane.allocKey(ds.ent)})
+	m := trainMember{at: done + line.delay, key: lane.allocKey(ds.ent), txStart: start, pkt: pkt}
+	if n.inWindow && ds.dstLane != lane {
+		// Parallel window: lanes may not touch each other's trains.
+		// The lookahead bound guarantees m.at lands at or after the
 		// window end, so the receiver cannot have passed it.
-		lane.outbox = append(lane.outbox, outMsg{dst: ds.dstLane, ev: ev})
-	default:
-		// Serialized execution (or between windows): push directly.
-		ds.dstLane.push(ev)
-	}
-}
-
-// finishTransit completes one evtDeliver: the packet dies if the link
-// failed at any point after its transmission began, then runs the
-// line's gray-failure impairment (if any), and otherwise hands the
-// packet to the endpoint precomputed for this direction.
-func (l *Line) finishTransit(pkt *packet.Packet, dir int, txStart time.Duration) {
-	ds := &l.dirs[dir]
-	if l.downRefs > 0 || (l.everDown && l.lastDownAt >= txStart) {
-		ds.inFlightDrops.Inc()
-		l.net.Drop(pkt, DropInFlight, l.link.Name())
+		lane.outbox = append(lane.outbox, outMsg{dst: ds.dstLane, tr: &ds.train, m: m})
 		return
 	}
-	if imp := l.imp; imp != nil {
-		r := imp.Rand.Float64()
-		switch {
-		case r < imp.DropProb:
-			l.cGrayDrops.Inc()
-			l.net.Drop(pkt, DropGray, l.link.Name())
-			return
-		case r < imp.DropProb+imp.CorruptProb:
-			if !l.corrupt(pkt, imp.Rand) {
-				return // gray-dropped (and released) inside corrupt
-			}
-		}
-	}
-	l.net.Deliver(pkt, ds.dst, ds.dstPort)
+	ds.dstLane.addMember(&ds.train, m)
 }
 
 // corrupt flips one random bit of the packet's route ID — the
@@ -746,7 +662,8 @@ func (n *Network) SetImpairment(l *topology.Link, imp *Impairment) {
 }
 
 // Deliver hands a packet to a node's handler immediately (used by
-// Send, and by edges looping a packet back into themselves).
+// edges looping a packet back into themselves, and by train delivery
+// to a node bound after its train cached no endpoint).
 func (n *Network) Deliver(pkt *packet.Packet, dst *topology.Node, inPort int) {
 	h, ok := n.handlers[dst]
 	if !ok {
@@ -903,8 +820,8 @@ func (n *Network) RepairLink(l *topology.Link) {
 	}
 	line.manualHold = false
 	n.releaseDown(line)
-	// Queued counters drain through their already-scheduled dequeue
-	// events; nothing to reset here.
+	// Occupied queue slots free at their recorded release times;
+	// nothing to reset here.
 }
 
 // ScheduleFailure fails the link during [from, from+duration). Each

@@ -10,23 +10,14 @@ package simnet
 import (
 	"time"
 
-	"repro/internal/packet"
 	"repro/internal/telemetry"
 )
 
-// Event kinds. The two per-packet events of the transport hot path
-// (queue-slot release and delivery) are encoded as typed fields on the
-// event struct rather than closures, so steady-state scheduling never
-// allocates; evtFunc remains for control-plane and user callbacks.
-const (
-	evtFunc    = iota // fn()
-	evtDequeue        // ds.queued--
-	evtDeliver        // in-flight check, then deliver pkt over line/dir
-)
-
-// event is one scheduled occurrence. Exactly one kind-dependent field
-// group is meaningful; the struct is stored by value in the heap slice
-// so scheduling moves no separate allocation.
+// event is one scheduled callback: control-plane phases, fault
+// injectors, detection timers and per-node data-plane timers. Packets
+// in transit are not events; they ride their link direction's train
+// (train.go). The struct is stored by value in the heap slice so
+// scheduling moves no separate allocation.
 type event struct {
 	at time.Duration
 	// key is the equal-time tie-break: entity<<entShift | per-entity
@@ -36,15 +27,7 @@ type event struct {
 	// however the world is sharded, which is what makes N-shard runs
 	// replay the 1-shard dispatch order exactly.
 	key uint64
-
-	kind uint8
-	dir  uint8 // evtDeliver: line direction index
-
-	fn      func()         // evtFunc
-	ds      *dirState      // evtDequeue
-	line    *Line          // evtDeliver
-	pkt     *packet.Packet // evtDeliver
-	txStart time.Duration  // evtDeliver: serialization start (in-flight kill check)
+	fn  func()
 }
 
 // before is the heap order: time, then composite key.
@@ -88,28 +71,26 @@ type Scheduler struct {
 	ents []uint64
 
 	// curKey is the key of the item currently (or most recently)
-	// dispatched. The batched data plane's lazy dequeue ring compares
-	// against it to decide whether an implicit queue-release with an
-	// equal timestamp would already have run in scalar mode (events at
-	// equal times run in key order). After RunUntil drains everything
-	// ≤ t it is set to idleKey: every release stamped so far has
-	// matured.
+	// dispatched. The lazy queue-release rings (train.go) compare
+	// against it to decide whether a slot release stamped with an equal
+	// time has already matured (items at equal times run in key
+	// order). After RunUntil drains everything ≤ t it is set to
+	// idleKey: every release stamped so far has matured.
 	curKey uint64
 
-	// trains is the second priority lane of the batched data plane: a
-	// small 4-ary heap of active packet trains, each keyed by the
-	// cached head-member (at, key). The main loop always dispatches
-	// the global (at, key) minimum across both lanes, so batch replays
-	// scalar event order exactly — but advancing a train is one
-	// shallow sift in a heap of O(active links) instead of a push/pop
-	// pair in the main event heap. trainMembers counts undelivered
-	// members across all trains (Pending accounting).
+	// trains is the second priority lane: a small 4-ary heap of active
+	// packet trains, each keyed by the cached head-member (at, key).
+	// The main loop always dispatches the global (at, key) minimum
+	// across both lanes, but advancing a train is one shallow sift in a
+	// heap of O(active links) instead of a push/pop pair in the main
+	// event heap. trainMembers counts undelivered members across all
+	// trains (Pending accounting).
 	trains       []*train
 	trainMembers int
 
-	// outbox buffers cross-lane deliveries produced inside a parallel
-	// window; the Network drains it into the destination lanes at the
-	// window barrier (heap order makes the drain order irrelevant).
+	// outbox buffers train members bound for other lanes' trains
+	// (cut-link transmissions) produced inside a parallel window; the
+	// Network appends them to their trains at the window barrier.
 	outbox []outMsg
 
 	// denyPost, when set, panics At/After: the Network sets it on the
@@ -122,17 +103,19 @@ type Scheduler struct {
 	// time (clamped to "now"); nil until a Network attaches one.
 	cPast *telemetry.Counter
 
-	// flush surfaces the batch data plane's deferred counters at
-	// observation boundaries: before any evtFunc callback runs and
-	// whenever Step/RunUntil returns control to the caller. Nil in
-	// scalar mode.
+	// flush surfaces the data plane's deferred counters at observation
+	// boundaries: before any callback runs and whenever Step/RunUntil
+	// returns control to the caller. Every lane of a Network has it
+	// set; only a standalone scheduler (no Network) leaves it nil.
 	flush func()
 }
 
-// outMsg is one buffered cross-lane delivery.
+// outMsg is one train member handed from its sending lane to the lane
+// that owns its train.
 type outMsg struct {
 	dst *Scheduler
-	ev  event
+	tr  *train
+	m   trainMember
 }
 
 // idleKey marks "no dispatch in progress": all keys allocated so far
@@ -154,12 +137,12 @@ func (s *Scheduler) Reserve(n int) {
 	s.events = q
 }
 
-// allocKey stamps one tie-break key for the given entity. The batched
-// data plane allocates them at exactly the points the scalar plane
-// posts events (one per implicit queue release, one per train member),
-// so tie-break order against every other event is identical in both
-// modes. Entity counters are single-writer: each entity posts only
-// from its own lane's goroutine.
+// allocKey stamps one tie-break key for the given entity. A link
+// direction takes two per transmission — one for the queue-slot
+// release, one for the delivery — so its keys, and every other
+// entity's, do not depend on how the transport is driven. Entity
+// counters are single-writer: each entity posts only from its own
+// lane's goroutine.
 func (s *Scheduler) allocKey(ent uint32) uint64 {
 	if int(ent) >= len(s.ents) {
 		// Standalone scheduler (tests): grow a private counter array.
@@ -191,20 +174,13 @@ func (s *Scheduler) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
 
 // postFn clamps t, stamps ent's next key and pushes a callback event.
 func (s *Scheduler) postFn(t time.Duration, ent uint32, fn func()) {
-	s.post(t, ent, event{kind: evtFunc, fn: fn})
-}
-
-// post clamps t, stamps ent's next key and pushes e.
-func (s *Scheduler) post(t time.Duration, ent uint32, e event) {
 	if t < s.now {
 		t = s.now
 		if s.cPast != nil {
 			s.cPast.Inc()
 		}
 	}
-	e.at = t
-	e.key = s.allocKey(ent)
-	s.push(e)
+	s.push(event{at: t, key: s.allocKey(ent), fn: fn})
 }
 
 // push appends e and sifts it up the 4-ary heap.
@@ -254,21 +230,6 @@ func (s *Scheduler) pop() event {
 	return top
 }
 
-// dispatch runs one event at the already-advanced clock.
-func (s *Scheduler) dispatch(e *event) {
-	switch e.kind {
-	case evtFunc:
-		if s.flush != nil {
-			s.flush()
-		}
-		e.fn()
-	case evtDequeue:
-		e.ds.queued--
-	case evtDeliver:
-		e.line.finishTransit(e.pkt, int(e.dir), e.txStart)
-	}
-}
-
 // trainFirst reports whether the earliest pending item is a train
 // member rather than a heap event (false when no trains are active).
 func (s *Scheduler) trainFirst() bool {
@@ -310,7 +271,10 @@ func (s *Scheduler) stepOnce() {
 	e := s.pop()
 	s.now = e.at
 	s.curKey = e.key
-	s.dispatch(&e)
+	if s.flush != nil {
+		s.flush()
+	}
+	e.fn()
 }
 
 // Step runs the earliest pending item — heap event or train member —
@@ -327,8 +291,8 @@ func (s *Scheduler) Step() bool {
 }
 
 // RunUntil processes every event and train member scheduled at or
-// before t — always the global (at, key) minimum first, so batched and
-// scalar runs replay the same order — then advances the clock to t.
+// before t — always the global (at, key) minimum first — then advances
+// the clock to t.
 // Drive sharded worlds through Network.RunUntil instead: this runs one
 // lane only.
 func (s *Scheduler) RunUntil(t time.Duration) {
@@ -364,13 +328,14 @@ func (s *Scheduler) runWindow(endExcl, tMax time.Duration) {
 	}
 }
 
-// drainOutbox pushes buffered cross-lane deliveries into their
-// destination heaps. Called single-threaded at window barriers; heap
-// order by (at, key) makes the drain order irrelevant.
+// drainOutbox appends buffered cut-link members to their trains.
+// Called single-threaded at window barriers. A train is fed by one
+// sending lane only, so the outbox preserves each train's member
+// order, and the train heap makes the order across trains irrelevant.
 func (s *Scheduler) drainOutbox() {
 	for i := range s.outbox {
 		m := &s.outbox[i]
-		m.dst.push(m.ev)
+		m.dst.addMember(m.tr, m.m)
 		s.outbox[i] = outMsg{} // no stale packet pins
 	}
 	s.outbox = s.outbox[:0]

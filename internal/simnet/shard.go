@@ -28,11 +28,11 @@ import (
 //     lane, and an entity's events are numbered in its own posting
 //     order, which is a function of the simulation's causal history,
 //     not of lane interleaving.
-//   - Each lane dispatches its own events in (at, key) order in every
-//     mode. Cross-lane arrivals carry at ≥ window end, so they are
-//     merged into the receiver's heap before the receiver can reach
-//     them; within a window each lane sees exactly the event set the
-//     serialized run would have given it.
+//   - Each lane dispatches its own events and train members in
+//     (at, key) order in every mode. Cut-link members carry at ≥
+//     window end, so they are appended to the receiver's train before
+//     the receiver can reach them; within a window each lane sees
+//     exactly the items the serialized run would have given it.
 //   - Control events (entity 0) sort below all data keys at equal
 //     times and run single-threaded between windows, so failures,
 //     repairs, detections and experiment phases interleave with the
@@ -120,8 +120,8 @@ func (n *Network) runSerial(t time.Duration) {
 // or before the earliest data event (at equal times control sorts
 // first — entity 0 — matching the serialized order); otherwise all
 // lanes concurrently run their events in [m, min(m+W, next control
-// event, t]] and meet at a barrier, where cross-lane deliveries
-// buffered in the window are merged into their destination heaps.
+// event, t]] and meet at a barrier, where cut-link members buffered
+// in the window are appended to their trains.
 func (n *Network) runWindows(t time.Duration) {
 	// Surface any deferred increments now: during windows the deferred
 	// cells pass through to their atomic backers, and the dirty lists

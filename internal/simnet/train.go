@@ -7,39 +7,45 @@ import (
 	"repro/internal/rns"
 )
 
-// This file is the batched data plane: packet trains. In scalar mode
-// every packet on a link costs two heap events (queue-slot release and
-// delivery). In batch mode (the default) each link direction instead
-// keeps one train — an ordered slice of undelivered members — and the
-// scheduler holds a second, much smaller priority lane of active
-// trains keyed by their next member's (at, seq). The main loop always
-// dispatches the global (at, seq) minimum across both lanes, so a
-// batched run replays the scalar event order exactly; what changes is
-// the cost: advancing a train is one shallow sift among O(active
-// links) trains instead of a push/pop pair in a heap of O(in-flight
-// packets) events, queue releases become a lazily drained ring with no
-// events at all, and a switch-bound train resolves its members' output
-// ports with one amortized rns.ReduceBatch instead of a per-packet
-// policy call.
+// This file is the link transport: packet trains. Every link
+// direction keeps one train — an ordered slice of undelivered
+// transmissions — and each scheduler lane holds a second, small
+// priority lane of its active trains keyed by their next member's
+// (at, key). The main loop always dispatches the global (at, key)
+// minimum across events and trains, so a member is delivered exactly
+// where a per-packet delivery event with the same key would run; what
+// the train buys is cost: advancing a train is one shallow sift among
+// O(active links) trains instead of a push/pop pair in a heap of
+// O(in-flight packets) events, queue releases are a lazily drained
+// ring with no events at all, and a switch-bound train resolves its
+// members' output ports with one amortized rns.ReduceBatch instead of
+// a per-packet policy call.
 //
-// Exactness is by construction, not by luck:
+// Exactness is by construction:
 //
-//   - Sequence parity: enqueueBatch allocates one seq for the implicit
-//     queue release and one for the member at exactly the points the
-//     scalar path posts its evtDequeue/evtDeliver, so every other
-//     event's tie-break key is identical in both modes.
+//   - Keys: enqueue stamps one key from the direction's entity for the
+//     queue-slot release and then one for the delivery, at the instant
+//     of the send. Those are the keys a two-events-per-packet transport
+//     would give its release and delivery events, so every other
+//     event's tie-break key is unchanged too.
 //   - Queue occupancy: the only reader of a direction's queue depth is
-//     the tail-drop check in enqueue. The ring drains entries whose
-//     (release time, seq) precedes the scheduler's current (now,
-//     curSeq) — precisely the releases scalar mode would already have
-//     popped.
+//     the tail-drop check in enqueue. The sender's release ring drains
+//     the entries whose (release time, key) precede its lane's current
+//     (now, curKey) — precisely the releases that have matured.
+//   - Ownership: a train belongs to the lane of the receiving node,
+//     which delivers its members; the release ring belongs to the
+//     sending lane. Inside a lane both are the same lane. On a cut
+//     (cross-shard) direction the sender hands each member over
+//     through its outbox at the window barrier, or appends it directly
+//     when the run is serialized or between windows; the lookahead
+//     bound keeps every handed-over member at or past the window end.
 //   - Fault semantics: link failures, repairs, detections and gray
 //     windows are scheduler events; because the loop interleaves lanes
-//     in global order, they split trains for free. Each member re-runs
-//     the scalar in-flight kill check at its own delivery instant, and
-//     members delivered while an impairment is installed peel onto the
-//     scalar transit path so RNG draws happen in the scalar order.
-//   - Peel-outs: sampled packets take the full scalar switch pipeline
+//     in global order, they split trains for free. Each member runs the
+//     in-flight kill check at its own delivery instant, and a member
+//     delivered while an impairment is installed draws from the
+//     impairment's RNG in that global order.
+//   - Peel-outs: sampled packets take the full switch pipeline
 //     (flight-recorder hooks), corrupted packets invalidate only their
 //     own precomputed residue, and non-batch handlers (edges) receive
 //     plain HandlePacket calls.
@@ -59,13 +65,11 @@ type BatchHandler interface {
 }
 
 // trainMember is one queued transmission: the packet, its delivery key
-// (at, key), the key of its implicit queue release (deqKey; its time
-// is at minus the link delay), the serialization start for the
-// in-flight kill check, and the precomputed port residue.
+// (at, key), the serialization start for the in-flight kill check, and
+// the precomputed port residue.
 type trainMember struct {
 	at      time.Duration
 	key     uint64
-	deqKey  uint64
 	txStart time.Duration
 	pkt     *packet.Packet
 	res     uint16
@@ -73,9 +77,8 @@ type trainMember struct {
 }
 
 // train is one link direction's pending transmissions. members[head:]
-// are undelivered; members[deqHead:] still hold their queue slot;
-// members[:resLen] have residues. The scheduler's train lane holds a
-// pointer while hpos ≥ 0.
+// are undelivered; members[:resLen] have residues. The owning lane's
+// train heap holds a pointer while hpos ≥ 0.
 type train struct {
 	line *Line
 	dir  uint8
@@ -88,7 +91,6 @@ type train struct {
 	keyOrd uint64
 
 	head    int // next member to deliver
-	deqHead int // next queue slot to release (lazy, ≤ delivery order)
 	resLen  int // members with computed residues
 	members []trainMember
 
@@ -104,20 +106,17 @@ type train struct {
 	out []uint16
 }
 
-// pendingQueue returns the occupied queue slots (after a drain).
-func (tr *train) pendingQueue() int { return len(tr.members) - tr.deqHead }
-
 // reset empties a train whose members are all delivered; endpoint
 // caches survive (the topology is static).
 func (tr *train) reset() {
 	tr.members = tr.members[:0]
-	tr.head, tr.deqHead, tr.resLen = 0, 0, 0
+	tr.head, tr.resLen = 0, 0
 }
 
 // resolveEndpoint caches the receiving handler and, when it accepts
 // batched deliveries, its reducer. A nil handler is not latched:
 // delivery falls back to Network.Deliver's fresh lookup (and its
-// no-port drop), matching scalar mode for late-bound handlers.
+// no-port drop), so a handler bound late is still found.
 func (tr *train) resolveEndpoint() {
 	ds := &tr.line.dirs[tr.dir]
 	h, ok := tr.line.net.handlers[ds.dst]
@@ -258,67 +257,85 @@ func (s *Scheduler) stepTrain() {
 	tr.line.deliverMember(tr, &m)
 }
 
-// --- Line-side train operations -------------------------------------------
-
-// drainDeq releases queue slots whose implicit dequeue — (release
-// time, key) — precedes the owning lane's current dispatch position,
-// exactly the evtDequeue events scalar mode would already have popped.
-func (l *Line) drainDeq(tr *train, now time.Duration, cur uint64) {
-	for tr.deqHead < len(tr.members) {
-		m := &tr.members[tr.deqHead]
-		done := m.at - l.delay
-		if done < now || (done == now && m.deqKey < cur) {
-			tr.deqHead++
-			continue
-		}
-		break
+// addMember appends m to tr — a train this lane owns — and activates
+// the train if idle. An active train's heap key is its head member,
+// which neither an append nor a compaction changes.
+func (s *Scheduler) addMember(tr *train, m trainMember) {
+	tr.compact()
+	tr.members = append(tr.members, m)
+	s.trainMembers++
+	if tr.hpos < 0 {
+		s.trainPush(tr)
 	}
 }
 
 // compact reclaims the delivered prefix once it dominates the slice,
 // so a continuously busy train does not grow without bound. Member
-// order is preserved and head re-bases to 0, so the train's heap key
-// (members[head]) is unchanged.
+// order is preserved and head re-bases to 0.
 func (tr *train) compact() {
 	if tr.head < 256 || tr.head*2 < len(tr.members) {
 		return
 	}
 	n := copy(tr.members, tr.members[tr.head:])
 	tr.members = tr.members[:n]
-	tr.deqHead -= tr.head
 	tr.resLen -= tr.head
-	if tr.deqHead < 0 {
-		tr.deqHead = 0
-	}
 	if tr.resLen < 0 {
 		tr.resLen = 0
 	}
 	tr.head = 0
 }
 
-// enqueueBatch is the batch-mode tail of Send/enqueue: stamp the
-// member's keys at the exact points scalar mode posts its two events,
-// append, and activate the train if idle. An active train's heap key
-// is its head member, which an append never changes.
-func (n *Network) enqueueBatch(line *Line, dir int, pkt *packet.Packet, done, txStart time.Duration) {
-	ds := &line.dirs[dir]
-	tr := &ds.train
-	deqKey := ds.lane.allocKey(ds.ent)
-	key := ds.lane.allocKey(ds.ent)
-	tr.members = append(tr.members, trainMember{
-		at: done + line.delay, key: key, deqKey: deqKey, txStart: txStart, pkt: pkt,
-	})
-	ds.lane.trainMembers++
-	if tr.hpos < 0 {
-		ds.lane.trainPush(tr)
+// --- Sender-side queue occupancy ------------------------------------------
+
+// release is one occupied queue slot: the instant its packet finishes
+// serializing and the tie-break key the slot's release carries.
+type release struct {
+	at  time.Duration
+	key uint64
+}
+
+// releaseRing is a link direction's FIFO of occupied queue slots, in
+// release order (a direction's serializer finishes packets in send
+// order). It is allocated on first use and grows by doubling.
+type releaseRing struct {
+	buf  []release // len is 0 or a power of two
+	head int
+	n    int
+}
+
+// push records one more occupied slot.
+func (r *releaseRing) push(e release) {
+	if r.n == len(r.buf) {
+		grown := make([]release, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
+	r.n++
+}
+
+// drain frees the slots whose release — (release time, key) — precedes
+// the current dispatch position (now, cur): exactly the releases that
+// have already happened.
+func (r *releaseRing) drain(now time.Duration, cur uint64) {
+	for r.n > 0 {
+		e := &r.buf[r.head]
+		if e.at > now || (e.at == now && e.key >= cur) {
+			return
+		}
+		r.head = (r.head + 1) & (len(r.buf) - 1)
+		r.n--
 	}
 }
 
-// deliverMember completes one member's transit: the scalar in-flight
-// kill check at the member's own delivery instant, the gray-impairment
-// peel-out (scalar RNG draw order), then delivery to the cached
-// endpoint — the batched fast lane when the handler takes residues,
-// the plain handler call otherwise.
+// deliverMember completes one member's transit — the only transit
+// path: the packet dies if the link failed at any point after its
+// transmission began, then runs the line's gray-failure impairment (if
+// any), and is otherwise delivered to the cached endpoint — the
+// batched fast lane when the handler takes residues, the plain handler
+// call otherwise.
 func (l *Line) deliverMember(tr *train, m *trainMember) {
 	ds := &l.dirs[tr.dir]
 	pkt := m.pkt
@@ -345,7 +362,7 @@ func (l *Line) deliverMember(tr *train, m *trainMember) {
 	if tr.h == nil {
 		tr.resolveEndpoint()
 		if tr.h == nil {
-			l.net.Deliver(pkt, ds.dst, ds.dstPort) // unbound: scalar no-port drop
+			l.net.Deliver(pkt, ds.dst, ds.dstPort) // unbound: no-port drop
 			return
 		}
 	}
