@@ -87,7 +87,9 @@ func run(args []string) error {
 				break
 			}
 			fmt.Println()
-			printJourney(j)
+			if err := trace.WriteJourney(os.Stdout, j); err != nil {
+				return err
+			}
 		}
 		fmt.Println()
 	}
@@ -274,36 +276,6 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 
 func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d)/float64(time.Millisecond))
-}
-
-// printJourney dumps one journey hop by hop.
-func printJourney(j trace.Journey) {
-	stretch := ""
-	if s := j.Stretch(); s > 0 {
-		stretch = fmt.Sprintf(" stretch=%.2f (baseline %d)", s, j.Baseline)
-	}
-	fmt.Printf("journey %s->%s %s seq=%d: %s in %s, %d hops, %d deflections%s\n",
-		j.Flow.Src, j.Flow.Dst, j.PktKind, j.Seq,
-		j.Outcome, fmtDur(j.End-j.Start), j.HopCount, j.Deflections(), stretch)
-	for _, h := range j.Hops {
-		cause := ""
-		if h.Cause != "" {
-			cause = fmt.Sprintf("  [%s: encoded port %d]", h.Cause, h.Encoded)
-		}
-		wait := ""
-		if h.QueueWait > 0 {
-			wait = fmt.Sprintf("  queued %s", fmtDur(h.QueueWait))
-		}
-		in := ""
-		if h.InPort >= 0 {
-			in = fmt.Sprintf("in %d ", h.InPort)
-		}
-		fmt.Printf("  %10s  %-8s %sout %d%s%s\n",
-			fmtDur(h.At), h.Where, in, h.OutPort, cause, wait)
-	}
-	if j.Outcome != "delivered" && j.Outcome != "in-flight" {
-		fmt.Printf("  %10s  %s at %s\n", fmtDur(j.End), j.Outcome, j.Where)
-	}
 }
 
 func emit(opts options, tbl *measure.Table) {

@@ -67,9 +67,9 @@ func run() error {
 	}
 	fmt.Printf("installed: %s\n", route)
 
-	// Capture every hop of the flow, tcpdump style.
+	// Record every hop of every packet with the flight recorder.
 	flow := packet.FlowID{Src: "S", Dst: "D"}
-	capture := trace.New(w.Net, 64, trace.FlowFilter(flow))
+	rec := trace.NewRecorder(w.Net, trace.Config{Rate: 1})
 
 	delivered := 0
 	w.Edges["D"].Attach(flow, deliverFunc(func(p *packet.Packet) { delivered++ }))
@@ -82,12 +82,14 @@ func run() error {
 		}
 	}
 	w.Run(time.Second)
-	fmt.Print(capture)
+	if err := printJourneys(rec, flow); err != nil {
+		return err
+	}
 
 	fmt.Println("\nfailing link SW7-SW11 and sending 3 more:")
 	link, _ := g.LinkBetween("SW7", "SW11")
 	w.Net.FailLink(link)
-	capture = trace.New(w.Net, 64, trace.FlowFilter(flow))
+	rec = trace.NewRecorder(w.Net, trace.Config{Rate: 1})
 	for i := 3; i < 6; i++ {
 		p := &packet.Packet{Flow: flow, Kind: packet.KindData, Seq: uint64(i), Size: 1500}
 		if err := w.Edges["S"].Inject(p); err != nil {
@@ -95,12 +97,27 @@ func run() error {
 		}
 	}
 	w.Run(2 * time.Second)
-	fmt.Print(capture)
+	if err := printJourneys(rec, flow); err != nil {
+		return err
+	}
 
 	fmt.Printf("\ndelivered %d/6 packets — the deflected ones went SW7→SW5→SW11, driven by the\n", delivered)
 	fmt.Println("extra residue in the same route ID: no controller involvement, no packet loss.")
 	if delivered != 6 {
 		return fmt.Errorf("expected 6 deliveries, got %d", delivered)
+	}
+	return nil
+}
+
+// printJourneys prints the recorded journeys of one flow, hop by hop.
+func printJourneys(rec *trace.Recorder, flow packet.FlowID) error {
+	for _, j := range trace.Journeys(rec.Records()) {
+		if j.Flow != flow {
+			continue
+		}
+		if err := trace.WriteJourney(os.Stdout, j); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -7,8 +7,8 @@
 //
 // We run two flows across the RNP backbone: one on the shortest path
 // and one forced through a two-function chain (firewall at SW17, DPI
-// at SW61), then verify from a packet capture that every chained
-// packet visited the functions in order — and that driven-deflection
+// at SW61), then verify from the flight recorder's packet journeys
+// that every chained packet visited the functions in order — and that driven-deflection
 // protection still composes with chaining when a link fails.
 //
 // Run with: go run ./examples/servicechain
@@ -56,14 +56,14 @@ func run() error {
 	fmt.Printf("header cost: %d bits (%d switches encoded)\n\n", route.BitLength(), route.SwitchCount())
 
 	flow := packet.FlowID{Src: "EDGE-N", Dst: "EDGE-SP"}
-	capture := trace.New(w.Net, 4096, trace.FlowFilter(flow))
+	rec := trace.NewRecorder(w.Net, trace.Config{Rate: 1})
 	send, recv := udpsim.NewFlow(w.Net, w.Edges["EDGE-N"], w.Edges["EDGE-SP"], flow, udpsim.Config{
 		Interval: time.Millisecond, Count: 200,
 	})
 	send.Start()
 	w.Run(5 * time.Second)
 
-	if err := verifyChainOrder(capture, 200); err != nil {
+	if err := verifyChainOrder(rec, flow, 200); err != nil {
 		return err
 	}
 	st := recv.Stats(send)
@@ -90,49 +90,44 @@ func run() error {
 	if st2.Received < st2.Sent*95/100 {
 		return fmt.Errorf("chain lost too many packets: %d/%d", st2.Received, st2.Sent)
 	}
+	if st2.Received > st2.Sent {
+		return fmt.Errorf("receiver counted %d packets of %d sent", st2.Received, st2.Sent)
+	}
 	fmt.Println("\nthe chain needed no core state: both functions are ordinary residues in R.")
 	return nil
 }
 
-// verifyChainOrder checks, per packet, that SW17 was visited before
-// SW61 and both before delivery.
-func verifyChainOrder(capture *trace.Capture, packets int) error {
-	type visit struct{ fw, dpi, done bool }
-	seen := make(map[uint64]*visit, packets)
-	for _, e := range capture.Events() {
-		if e.Kind != trace.EventDeliver {
+// verifyChainOrder checks, per recorded journey of the flow, that
+// SW17 was visited before SW61 and both before delivery.
+func verifyChainOrder(rec *trace.Recorder, flow packet.FlowID, packets int) error {
+	completed := 0
+	for _, j := range trace.Journeys(rec.Records()) {
+		if j.Flow != flow {
 			continue
 		}
-		v, ok := seen[e.Seq]
-		if !ok {
-			v = &visit{}
-			seen[e.Seq] = v
+		fw, dpi := false, false
+		for _, h := range j.Hops {
+			switch h.Where {
+			case "SW17":
+				if dpi {
+					return fmt.Errorf("packet %d reached the firewall after the DPI", j.Seq)
+				}
+				fw = true
+			case "SW61":
+				if !fw {
+					return fmt.Errorf("packet %d reached the DPI before the firewall", j.Seq)
+				}
+				dpi = true
+			}
 		}
-		switch e.Where {
-		case "SW17":
-			if v.dpi {
-				return fmt.Errorf("packet %d reached the firewall after the DPI", e.Seq)
+		if j.Outcome == "delivered" {
+			if !fw || !dpi {
+				return fmt.Errorf("packet %d delivered without full chain traversal", j.Seq)
 			}
-			v.fw = true
-		case "SW61":
-			if !v.fw {
-				return fmt.Errorf("packet %d reached the DPI before the firewall", e.Seq)
-			}
-			v.dpi = true
-		case "EDGE-SP":
-			if !v.fw || !v.dpi {
-				return fmt.Errorf("packet %d delivered without full chain traversal", e.Seq)
-			}
-			v.done = true
-		}
-	}
-	completed := 0
-	for _, v := range seen {
-		if v.done {
 			completed++
 		}
 	}
-	fmt.Printf("chain order verified from capture: %d packets traversed firewall→dpi→egress\n", completed)
+	fmt.Printf("chain order verified from journeys: %d packets traversed firewall→dpi→egress\n", completed)
 	if completed != packets {
 		return fmt.Errorf("only %d/%d packets completed the chain", completed, packets)
 	}

@@ -165,14 +165,12 @@ func TestEdgeMisdeliveryWithoutController(t *testing.T) {
 	net, g := threeNode(t)
 	e1n, _ := g.Node("E1")
 	New(net, e1n, nil)
-	var drops []simnet.Drop
-	net.SetDropHook(func(d simnet.Drop) { drops = append(drops, d) })
 	stray := &packet.Packet{Flow: packet.FlowID{Src: "X", Dst: "E2"}, Size: 100, TTL: 5}
 	sw, _ := g.Node("SW7")
 	net.Send(sw, 0, stray)
 	net.Scheduler().RunUntil(time.Second)
-	if len(drops) != 1 {
-		t.Fatalf("drops = %d, want 1 (no controller to re-encode)", len(drops))
+	if drops := net.Dropped(); drops != 1 {
+		t.Fatalf("drops = %d, want 1 (no controller to re-encode)", drops)
 	}
 }
 
@@ -181,14 +179,12 @@ func TestEdgeMisdeliveryReencodeFails(t *testing.T) {
 	e1n, _ := g.Node("E1")
 	re := &fixedReencoder{err: errors.New("no path")}
 	e1 := New(net, e1n, re)
-	var drops []simnet.Drop
-	net.SetDropHook(func(d simnet.Drop) { drops = append(drops, d) })
 	stray := &packet.Packet{Flow: packet.FlowID{Src: "X", Dst: "E2"}, Size: 100, TTL: 5}
 	sw, _ := g.Node("SW7")
 	net.Send(sw, 0, stray)
 	net.Scheduler().RunUntil(time.Second)
-	if len(drops) != 1 {
-		t.Fatalf("drops = %d, want 1 (re-encode failed)", len(drops))
+	if drops := net.Dropped(); drops != 1 {
+		t.Fatalf("drops = %d, want 1 (re-encode failed)", drops)
 	}
 	if st := e1.Stats(); st.Reencoded != 0 {
 		t.Errorf("Reencoded = %d, want 0", st.Reencoded)

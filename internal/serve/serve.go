@@ -376,12 +376,31 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind JobKind, ru
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
-func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+// maxRequestBytes bounds a submitted request body. The largest
+// committed scenario is about 1.3 KB.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes a job request body into v, rejecting unknown
+// fields. It answers 413 for a body over maxRequestBytes, 400 for any
+// other decode error, and reports whether v is usable.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "bad %s request: %v", what, err)
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad scenario request: %v", err)
+	if !decodeRequest(w, r, "scenario", &req) {
 		return
 	}
 	run, err := buildScenarioJob(&req)
@@ -393,11 +412,8 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmitVerify(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req VerifyRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad verify request: %v", err)
+	if !decodeRequest(w, r, "verify", &req) {
 		return
 	}
 	run, err := buildVerifyJob(&req)

@@ -721,8 +721,45 @@ func TestBadRequestsRejected(t *testing.T) {
 			t.Errorf("POST %s %s: %d: %s", c.path, c.body, resp.StatusCode, data)
 		}
 	}
+	// A 2 MiB body is refused as too large at either endpoint.
+	huge := `{"spec": {"name": "` + strings.Repeat("x", 2<<20) + `"}}`
+	for _, path := range []string{"/v1/scenarios", "/v1/verify"} {
+		if resp, data := postJSON(t, ts.URL+path, strings.NewReader(huge)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a 2 MiB body: %d: %.200s", path, resp.StatusCode, data)
+		}
+	}
 	if resp, _ := getBody(t, ts.URL+"/v1/jobs/j999999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing job: %d", resp.StatusCode)
+	}
+}
+
+// TestOversizeTopologyRejected: a generated topology far past the
+// generator bounds is refused at admission with 400 at both endpoints,
+// without building it, and the daemon keeps serving.
+func TestOversizeTopologyRejected(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	spec := strings.Replace(tinySpec, `"net15"`, `"fattree:100000"`, 1)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/scenarios", `{"spec": ` + spec + `}`},
+		{"/v1/verify", `{"topology": "fattree:100000"}`},
+	} {
+		if resp, data := postJSON(t, ts.URL+c.path, strings.NewReader(c.body)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with fattree:100000: %d: %s", c.path, resp.StatusCode, data)
+		}
+	}
+	if resp, _ := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after oversize requests: %d", resp.StatusCode)
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/verify", strings.NewReader(`{"topology": "net15"}`))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("net15 verify after oversize requests: %d: %s", resp.StatusCode, data)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, ts.URL, st.ID); fin.State != StateDone {
+		t.Fatalf("net15 verify job %s (%s)", fin.State, fin.Error)
 	}
 }
 

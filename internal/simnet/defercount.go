@@ -5,12 +5,12 @@ import "repro/internal/telemetry"
 // DeferredCounter wraps a telemetry.Counter for the data plane's
 // per-hop hot path. Increments accumulate in a plain field and flush
 // to the (atomic) backing counter at observation boundaries — before
-// any scheduler callback, before drop hooks, and when Step or RunUntil
-// returns. Since every way to observe a counter (metric dumps,
-// LineStats, phase stats, control-plane callbacks) runs at one of
-// those boundaries, observed values equal per-increment atomic adds;
-// what changes is six LOCK-prefixed adds per hop becoming six plain
-// adds plus one amortized flush.
+// any scheduler callback, and when Step or RunUntil returns. Since
+// every way to observe a counter (metric dumps, LineStats, phase
+// stats, control-plane callbacks) runs at one of those boundaries,
+// observed values equal per-increment atomic adds; what changes is six
+// LOCK-prefixed adds per hop becoming six plain adds plus one
+// amortized flush.
 //
 // Not safe for concurrent use — like the scheduler, a deferred
 // counter belongs to one world's event loop. Counters that other

@@ -73,10 +73,10 @@ type Drop struct {
 	At     time.Duration
 }
 
-// TraceSink is the causal flight recorder's attachment surface. The
-// network itself calls only the transport-level methods (PacketTx,
-// PacketDrop, PacketCorrupt); switches and edges call the rest through
-// Trace(). Every per-packet method is invoked only for packets with
+// TraceSink is the causal flight recorder's attachment surface and the
+// network's one per-packet observer. The network itself calls only the
+// transport-level methods (PacketTx, PacketDrop, PacketCorrupt);
+// switches and edges call the rest through Trace(). Every per-packet method is invoked only for packets with
 // Sampled set, so an attached sink costs unsampled traffic one bool
 // test per hook. Implementations must copy, never retain, packets.
 type TraceSink interface {
@@ -199,13 +199,11 @@ type LineStats struct {
 // transport. Create with New, Bind a handler per node, then drive the
 // Scheduler.
 type Network struct {
-	sched       *Scheduler
-	topo        *topology.Graph
-	lines       map[*topology.Link]*Line
-	handlers    map[*topology.Node]Handler
-	dropHook    func(Drop)
-	deliverHook func(pkt *packet.Packet, at *topology.Node, inPort int)
-	trace       TraceSink
+	sched    *Scheduler
+	topo     *topology.Graph
+	lines    map[*topology.Link]*Line
+	handlers map[*topology.Node]Handler
+	trace    TraceSink
 
 	// Detection-latency model: how long after an actual link-state
 	// transition the adjacent switches' local view (PortUp) follows.
@@ -436,16 +434,6 @@ func (n *Network) Bind(node *topology.Node, h Handler) {
 	n.handlers[node] = h
 }
 
-// SetDropHook registers a callback invoked on every packet loss
-// (tracing, loss accounting). Pass nil to disable.
-func (n *Network) SetDropHook(fn func(Drop)) { n.dropHook = fn }
-
-// SetDeliverHook registers a callback invoked on every per-node packet
-// delivery (the tcpdump attachment point). Pass nil to disable.
-func (n *Network) SetDeliverHook(fn func(pkt *packet.Packet, at *topology.Node, inPort int)) {
-	n.deliverHook = fn
-}
-
 // SetTraceSink attaches (or, with nil, detaches) the causal flight
 // recorder. Exactly one sink can be attached per world.
 func (n *Network) SetTraceSink(s TraceSink) { n.trace = s }
@@ -456,18 +444,10 @@ func (n *Network) Trace() TraceSink { return n.trace }
 
 // Drop records a packet loss originating at a node (TTL expiry,
 // no-viable-port). Links report their own drops internally. Drop is a
-// lifecycle sink: pool-owned packets are recycled here, after the drop
-// hook has observed them (hooks must copy, never retain).
+// lifecycle sink: pool-owned packets are recycled here, after the
+// trace sink has observed them.
 func (n *Network) Drop(pkt *packet.Packet, reason DropReason, where string) {
-	// Drop hooks may read metrics; surface any deferred increments
-	// first so they observe up-to-date values.
-	if len(n.dirty) > 0 || len(n.dirtyH) > 0 {
-		n.flushCounters()
-	}
 	n.countDrop(reason)
-	if n.dropHook != nil {
-		n.dropHook(Drop{Packet: pkt, Reason: reason, Where: where, At: n.sched.now})
-	}
 	if pkt.Sampled && n.trace != nil {
 		n.trace.PacketDrop(Drop{Packet: pkt, Reason: reason, Where: where, At: n.sched.now})
 	}
@@ -672,9 +652,6 @@ func (n *Network) Deliver(pkt *packet.Packet, dst *topology.Node, inPort int) {
 	}
 	pkt.Hops++
 	n.cDelivered.Inc()
-	if n.deliverHook != nil {
-		n.deliverHook(pkt, dst, inPort)
-	}
 	h.HandlePacket(pkt, inPort)
 }
 

@@ -42,8 +42,8 @@ import (
 //     records are canonically sorted on export, so concurrent windows
 //     produce the same observable bytes as the serialized order.
 //
-// Observers that demand the total global order — the flight recorder,
-// drop/deliver hooks, the event-log tap — and gray impairments (whose
+// Observers that demand the total global order — the trace sink and
+// the event-log tap — and gray impairments (whose
 // RNG draw order is defined by the global event order) force the
 // serialized driver: same lanes, same keys, one goroutine picking the
 // global (at, key) minimum. It produces the identical dispatch
@@ -72,8 +72,6 @@ func (n *Network) RunUntil(t time.Duration) {
 func (n *Network) parallelOK() bool {
 	return n.lookahead > 0 &&
 		n.trace == nil &&
-		n.dropHook == nil &&
-		n.deliverHook == nil &&
 		n.impaired == 0 &&
 		!n.events.HasTap()
 }
@@ -100,8 +98,8 @@ func (n *Network) peekMin() (best *Scheduler, bAt time.Duration, bKey uint64) {
 // dispatching the global (at, key) minimum across the control lane
 // and every shard lane — the reference order the parallel driver must
 // (and does) reproduce. The control scheduler's clock is kept at the
-// dispatch time throughout so global observers (trace stamps, drop
-// hooks, the event log's Record) read the right virtual time whichever
+// dispatch time throughout so global observers (trace stamps, the
+// event log's Record) read the right virtual time whichever
 // lane the event ran on.
 func (n *Network) runSerial(t time.Duration) {
 	for {

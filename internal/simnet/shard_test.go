@@ -125,6 +125,7 @@ func (w *shardChain) burst(node *topology.Node, t time.Duration, firstSeq uint64
 				TTL:     16,
 				Seq:     firstSeq + uint64(i),
 				RouteID: rns.RouteIDFromUint64(0x5AD_0000 + firstSeq + uint64(i)),
+				Sampled: true,
 			})
 		}
 	})
@@ -217,22 +218,21 @@ func TestShardDeterminismCutFailure(t *testing.T) {
 }
 
 // TestShardSerialMatchesParallel pins that the serialized global-merge
-// driver (forced by any total-order observer, here a deliver hook) and
+// driver (forced by any total-order observer, here a trace sink) and
 // the parallel window driver produce identical runs.
 func TestShardSerialMatchesParallel(t *testing.T) {
 	parallel := driveChain(t, 4, false)
 
 	w := newShardChain(t, 4)
-	delivered := 0
-	w.n.SetDeliverHook(func(pkt *packet.Packet, at *topology.Node, inPort int) { delivered++ })
+	tl := watch(w.n)
 	if w.n.parallelOK() {
-		t.Fatal("deliver hook should force the serialized driver")
+		t.Fatal("a trace sink should force the serialized driver")
 	}
 	w.burst(w.e0, 0, 100, 8)
 	w.burst(w.e1, 700*time.Microsecond, 300, 5)
 	w.n.ClockOf(w.e0).At(300*time.Microsecond, func() {
 		for i := uint64(0); i < 4; i++ {
-			w.n.Send(w.e0, 0, &packet.Packet{Size: 600, TTL: 16, Seq: 200 + i})
+			w.n.Send(w.e0, 0, &packet.Packet{Size: 600, TTL: 16, Seq: 200 + i, Sampled: true})
 		}
 	})
 	w.burst(w.e0, 1500*time.Microsecond, 400, 6)
@@ -248,10 +248,10 @@ func TestShardSerialMatchesParallel(t *testing.T) {
 	}
 	serial.dump = buf.String()
 	checkRunsEqual(t, "serial-vs-parallel", parallel, serial)
-	// The hook sees every per-node delivery, relay hops included, so
+	// The sink sees every link transmission, relay hops included, so
 	// it must count at least the end-to-end deliveries.
-	if delivered < len(serial.seq0)+len(serial.seq1) {
-		t.Errorf("deliver hook saw %d packets, sinks saw %d", delivered, len(serial.seq0)+len(serial.seq1))
+	if tl.txs < len(serial.seq0)+len(serial.seq1) {
+		t.Errorf("trace sink saw %d transmissions, sinks saw %d deliveries", tl.txs, len(serial.seq0)+len(serial.seq1))
 	}
 }
 

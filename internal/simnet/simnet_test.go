@@ -92,6 +92,30 @@ func (s *sink) HandlePacket(pkt *packet.Packet, inPort int) {
 	s.times = append(s.times, s.sched.Now())
 }
 
+// traceLog is a test-local TraceSink: it keeps every drop of a Sampled
+// packet in drop order and counts Sampled link transmissions; the other
+// records are ignored.
+type traceLog struct {
+	drops []Drop
+	txs   int
+}
+
+func (l *traceLog) SampleFlow(packet.FlowID) bool                                 { return true }
+func (l *traceLog) PacketInject(*packet.Packet, string, int, int)                 {}
+func (l *traceLog) PacketHop(*packet.Packet, string, int, int, int, string)       {}
+func (l *traceLog) PacketTx(*packet.Packet, string, time.Duration, time.Duration) { l.txs++ }
+func (l *traceLog) PacketDecap(*packet.Packet, string)                            {}
+func (l *traceLog) PacketReencode(*packet.Packet, string, int)                    {}
+func (l *traceLog) PacketDrop(d Drop)                                             { l.drops = append(l.drops, d) }
+func (l *traceLog) PacketCorrupt(*packet.Packet, string)                          {}
+
+// watch attaches a fresh traceLog to n as its trace sink.
+func watch(n *Network) *traceLog {
+	l := &traceLog{}
+	n.SetTraceSink(l)
+	return l
+}
+
 func twoNodeNet(t *testing.T, opts ...topology.LinkOption) (*Network, *topology.Node, *topology.Node, *sink) {
 	t.Helper()
 	g := topology.New("pair")
@@ -151,12 +175,12 @@ func TestSendSerializesBackToBack(t *testing.T) {
 func TestQueueTailDrop(t *testing.T) {
 	n, a, _, sk := twoNodeNet(t,
 		topology.WithRateMbps(100), topology.WithDelay(time.Millisecond), topology.WithQueuePackets(3))
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
+	tl := watch(n)
 	for i := 0; i < 5; i++ {
-		n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 64})
+		n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 64, Sampled: true})
 	}
 	n.Scheduler().RunUntil(20 * time.Millisecond)
+	drops := tl.drops
 	if len(sk.pkts) != 3 {
 		t.Errorf("delivered %d packets, want 3 (queue capacity)", len(sk.pkts))
 	}
@@ -178,8 +202,7 @@ func TestQueueTailDrop(t *testing.T) {
 
 func TestFailLinkDropsAndRepairRestores(t *testing.T) {
 	n, a, _, sk := twoNodeNet(t)
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
+	tl := watch(n)
 	aNode, _ := n.Topology().Node("A")
 	link, _ := aNode.PortLink(0)
 
@@ -187,12 +210,13 @@ func TestFailLinkDropsAndRepairRestores(t *testing.T) {
 	// One packet before the failure (delivered), one during (dropped at
 	// send), one after repair (delivered).
 	send := func(at time.Duration) {
-		n.Scheduler().At(at, func() { n.Send(a, 0, &packet.Packet{Size: 100, TTL: 64}) })
+		n.Scheduler().At(at, func() { n.Send(a, 0, &packet.Packet{Size: 100, TTL: 64, Sampled: true}) })
 	}
 	send(0)
 	send(7 * time.Millisecond)
 	send(12 * time.Millisecond)
 	n.Scheduler().RunUntil(30 * time.Millisecond)
+	drops := tl.drops
 
 	if len(sk.pkts) != 2 {
 		t.Errorf("delivered %d packets, want 2", len(sk.pkts))
@@ -209,14 +233,14 @@ func TestFailLinkKillsInFlight(t *testing.T) {
 	// 10 ms delay: a packet sent at t=0 arrives at ~10 ms; failing the
 	// link at 5 ms must kill it.
 	n, a, _, sk := twoNodeNet(t, topology.WithDelay(10*time.Millisecond))
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
+	tl := watch(n)
 	aNode, _ := n.Topology().Node("A")
 	link, _ := aNode.PortLink(0)
 
-	n.Send(a, 0, &packet.Packet{Size: 100, TTL: 64})
+	n.Send(a, 0, &packet.Packet{Size: 100, TTL: 64, Sampled: true})
 	n.Scheduler().At(5*time.Millisecond, func() { n.FailLink(link) })
 	n.Scheduler().RunUntil(30 * time.Millisecond)
+	drops := tl.drops
 
 	if len(sk.pkts) != 0 {
 		t.Errorf("delivered %d packets, want 0 (in-flight kill)", len(sk.pkts))
@@ -254,10 +278,9 @@ func TestPortUpAndInvalidSends(t *testing.T) {
 	if n.PortUp(aNode, 1) {
 		t.Error("port 1 does not exist, PortUp must be false")
 	}
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
-	n.Send(a, 5, &packet.Packet{Size: 100, TTL: 64})
-	if len(drops) != 1 || drops[0].Reason != DropNoPort {
+	tl := watch(n)
+	n.Send(a, 5, &packet.Packet{Size: 100, TTL: 64, Sampled: true})
+	if drops := tl.drops; len(drops) != 1 || drops[0].Reason != DropNoPort {
 		t.Errorf("drops = %+v, want one no-port drop", drops)
 	}
 }

@@ -369,9 +369,6 @@ func (l *Line) deliverMember(tr *train, m *trainMember) {
 	n := l.net
 	pkt.Hops++
 	n.dDelivered.Inc()
-	if n.deliverHook != nil {
-		n.deliverHook(pkt, ds.dst, ds.dstPort)
-	}
 	if tr.bh != nil && resOK {
 		tr.bh.HandleBatchPacket(pkt, ds.dstPort, m.res)
 		return

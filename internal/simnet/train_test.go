@@ -29,16 +29,16 @@ func (r *relay) HandlePacket(pkt *packet.Packet, inPort int) {
 }
 
 // chainWorld is a three-node line A—B—C: bursty ingress at A, a relay
-// at B, a recording sink at C, and a drop hook capturing every loss in
-// delivery order. The B—C link has a small queue so overload tail-drops.
+// at B, a recording sink at C, and a trace sink capturing every loss of
+// the (Sampled) burst packets in drop order. The B—C link has a small
+// queue so overload tail-drops.
 type chainWorld struct {
-	n       *Network
-	a       *topology.Node
-	linkAB  *topology.Link
-	linkBC  *topology.Link
-	sink    *sink
-	drops   []Drop
-	dropped []uint64 // seqs in drop order
+	n      *Network
+	a      *topology.Node
+	linkAB *topology.Link
+	linkBC *topology.Link
+	sink   *sink
+	log    *traceLog
 }
 
 func newChainWorld(t *testing.T) *chainWorld {
@@ -73,10 +73,7 @@ func newChainWorld(t *testing.T) *chainWorld {
 	w.linkBC, _ = b.PortLink(fwd)
 	n.Bind(b, &relay{n: n, node: b, port: fwd})
 	n.Bind(c, w.sink)
-	n.SetDropHook(func(d Drop) {
-		w.drops = append(w.drops, d)
-		w.dropped = append(w.dropped, d.Packet.Seq)
-	})
+	w.log = watch(n)
 	return w
 }
 
@@ -89,6 +86,7 @@ func (w *chainWorld) burst(t time.Duration, firstSeq uint64, k int) {
 				TTL:     16,
 				Seq:     firstSeq + uint64(i),
 				RouteID: rns.RouteIDFromUint64(0xABCD_0000 + firstSeq + uint64(i)),
+				Sampled: true,
 			})
 		}
 	})
@@ -122,7 +120,7 @@ func gauntletTranscript(t *testing.T, w *chainWorld) string {
 	for i, p := range w.sink.pkts {
 		fmt.Fprintf(&b, "deliver seq=%d hops=%d at=%v id=%s\n", p.Seq, p.Hops, w.sink.times[i], p.RouteID)
 	}
-	for _, d := range w.drops {
+	for _, d := range w.log.drops {
 		fmt.Fprintf(&b, "drop %v seq=%d at=%v %s\n", d.Reason, d.Packet.Seq, d.At, d.Where)
 	}
 	if err := w.n.Metrics().WritePrometheus(&b); err != nil {
@@ -142,7 +140,7 @@ func TestTrainFaultGauntletGolden(t *testing.T) {
 	const want = "b21fc4b5ec2f6c4447b30225dc1c2069739edeef962b53ae767a76b40718e3d7"
 	if sum := sha256.Sum256([]byte(got)); hex.EncodeToString(sum[:]) != want {
 		t.Errorf("gauntlet transcript digest %x, want %s (%d deliveries, %d drops):\n%s",
-			sum, want, len(w.sink.pkts), len(w.drops), got)
+			sum, want, len(w.sink.pkts), len(w.log.drops), got)
 	}
 	if p := w.n.Scheduler().Pending(); p != 0 {
 		t.Errorf("scheduler leaks %d pending items", p)
@@ -151,7 +149,7 @@ func TestTrainFaultGauntletGolden(t *testing.T) {
 	// Guard against a vacuous gauntlet: every fault class must have
 	// actually fired, or the digest above pins nothing interesting.
 	seen := map[DropReason]bool{}
-	for _, d := range w.drops {
+	for _, d := range w.log.drops {
 		seen[d.Reason] = true
 	}
 	for _, want := range []DropReason{DropInFlight, DropGray, DropQueueFull} {
@@ -174,14 +172,14 @@ func TestTrainSplitOnFailure(t *testing.T) {
 	n, a, _, sk := twoNodeNet(t, topology.WithRateMbps(80), topology.WithDelay(10*time.Millisecond))
 	aNode, _ := n.Topology().Node("A")
 	link, _ := aNode.PortLink(0)
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
+	tl := watch(n)
 
 	for i := 0; i < 5; i++ {
-		n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: uint64(i)})
+		n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: uint64(i), Sampled: true})
 	}
 	n.Scheduler().At(5*time.Millisecond, func() { n.FailLink(link) })
 	n.Scheduler().RunUntil(time.Second)
+	drops := tl.drops
 
 	if len(sk.pkts) != 0 {
 		t.Errorf("delivered %d packets, want 0 (all in flight at failure)", len(sk.pkts))
@@ -272,27 +270,28 @@ func TestBatchQueueDrainExactness(t *testing.T) {
 		b, _ := g.Node("B")
 		sk := &sink{sched: n.Scheduler()}
 		n.Bind(b, sk)
-		var qDrops int
-		n.SetDropHook(func(d Drop) {
-			if d.Reason == DropQueueFull {
-				qDrops++
-			}
-		})
+		tl := watch(n)
 		// Fill the queue, then probe both sides of the release boundary
 		// (100 µs serialization per packet): a control callback at exactly
 		// the release instant dispatches before the release (entity 0 sorts
 		// first), so its send still tail-drops; one nanosecond later the
 		// slot has freed.
 		for i := 0; i < 3; i++ {
-			n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: uint64(i)})
+			n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: uint64(i), Sampled: true})
 		}
 		n.Scheduler().At(100*time.Microsecond, func() {
-			n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: 10})
+			n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: 10, Sampled: true})
 		})
 		n.Scheduler().At(100*time.Microsecond+time.Nanosecond, func() {
-			n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: 11})
+			n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: 11, Sampled: true})
 		})
 		n.Scheduler().RunUntil(time.Second)
+		qDrops := 0
+		for _, d := range tl.drops {
+			if d.Reason == DropQueueFull {
+				qDrops++
+			}
+		}
 		if len(sk.pkts) != 4 {
 			t.Errorf("delivered %d packets, want 4 (seqs 0-2 and the post-release send)", len(sk.pkts))
 		}

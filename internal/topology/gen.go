@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -10,6 +11,44 @@ import (
 
 	"repro/internal/coprime"
 )
+
+// Generator size bounds. FromSpec runs on untrusted input (daemon
+// admission), so every generator computes its switch and link counts
+// up front and rejects a spec above these before allocating anything.
+// fattree:28, at 980 switches and 11,368 links, is the largest
+// generated topology the experiments use.
+const (
+	maxGenSwitches = 4096
+	maxGenLinks    = 1 << 16
+)
+
+// checkSize rejects a generator whose planned switch or link count
+// (links include host attachments) exceeds the bounds.
+func checkSize(gen string, switches, links int) error {
+	if switches > maxGenSwitches {
+		return fmt.Errorf("topology: %s: more than %d switches", gen, maxGenSwitches)
+	}
+	if links > maxGenLinks {
+		return fmt.Errorf("topology: %s: more than %d links", gen, maxGenLinks)
+	}
+	return nil
+}
+
+// mulSat and addSat are non-negative int arithmetic that saturates
+// at math.MaxInt instead of wrapping, so size plans cannot overflow.
+func mulSat(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+func addSat(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
 
 // GenConfig parameterises random topology generation.
 type GenConfig struct {
@@ -35,6 +74,12 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	}
 	if cfg.Edges < 0 || cfg.Edges > cfg.Cores {
 		return nil, fmt.Errorf("topology: generate: edges %d out of range [0, %d]", cfg.Edges, cfg.Cores)
+	}
+	// Spanning tree plus chords, capped at the full clique, plus one
+	// link per edge node.
+	coreLinks := min(addSat(cfg.Cores-1, max(cfg.ExtraLinks, 0)), mulSat(cfg.Cores, cfg.Cores-1)/2)
+	if err := checkSize("generate", cfg.Cores, addSat(coreLinks, cfg.Edges)); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -132,7 +177,13 @@ func FatTree(k int) (*Graph, error) {
 		return nil, fmt.Errorf("topology: fattree: k must be even and >= 2, got %d", k)
 	}
 	half := k / 2
-	nSwitches := k*k + half*half // k pods x (half agg + half tor) + core layer
+	// k pods x (half agg + half tor) + core layer; links: one host per
+	// ToR, then ToR-agg inside each pod and core-agg, half² per pod each.
+	nSwitches := addSat(mulSat(k, k), mulSat(half, half))
+	nLinks := addSat(mulSat(k, half), mulSat(2, mulSat(k, mulSat(half, half))))
+	if err := checkSize("fattree", nSwitches, nLinks); err != nil {
+		return nil, err
+	}
 
 	// Analytic degree plan in insertion order: per pod, aggs then
 	// ToRs; core layer last. Agg: half up + half down. ToR: half up
@@ -225,6 +276,9 @@ func Clos(leaves, spines int) (*Graph, error) {
 	if leaves < 2 || spines < 1 {
 		return nil, fmt.Errorf("topology: clos: need >= 2 leaves and >= 1 spine, got %d/%d", leaves, spines)
 	}
+	if err := checkSize("clos", addSat(leaves, spines), addSat(mulSat(leaves, spines), leaves)); err != nil {
+		return nil, err
+	}
 	mins := make([]uint64, 0, leaves+spines)
 	for i := 0; i < leaves; i++ {
 		mins = append(mins, uint64(spines)+2) // spines up + one host
@@ -278,11 +332,16 @@ func Clos(leaves, spines int) (*Graph, error) {
 // KAR edge nodes attach to switches spread evenly across the
 // insertion order. Deterministic per seed.
 func ISP(cores, m, hosts int, seed int64) (*Graph, error) {
-	if m < 1 || cores < m+2 {
+	if m < 1 || cores < 3 || m > cores-2 {
 		return nil, fmt.Errorf("topology: isp: need m >= 1 and cores >= m+2, got cores=%d m=%d", cores, m)
 	}
 	if hosts < 0 || hosts > cores {
 		return nil, fmt.Errorf("topology: isp: hosts %d out of range [0, %d]", hosts, cores)
+	}
+	// An (m+1)-clique seed, m links per later switch, one per host.
+	seedLinks := mulSat(m, m+1) / 2
+	if err := checkSize("isp", cores, addSat(addSat(seedLinks, mulSat(cores-m-1, m)), hosts)); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 

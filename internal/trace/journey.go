@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -61,6 +63,47 @@ func (j Journey) Stretch() float64 {
 		return 0
 	}
 	return float64(j.HopCount) / float64(j.Baseline)
+}
+
+// WriteJourney renders one journey as text: a summary line, then one
+// line per hop with its in-port, the port taken and, for a deflected
+// hop, the cause and the encoded port, then the drop site if the
+// packet was lost.
+func WriteJourney(w io.Writer, j Journey) error {
+	var b strings.Builder
+	stretch := ""
+	if s := j.Stretch(); s > 0 {
+		stretch = fmt.Sprintf(" stretch=%.2f (baseline %d)", s, j.Baseline)
+	}
+	fmt.Fprintf(&b, "journey %s->%s %s seq=%d: %s in %s, %d hops, %d deflections%s\n",
+		j.Flow.Src, j.Flow.Dst, j.PktKind, j.Seq,
+		j.Outcome, fmtMs(j.End-j.Start), j.HopCount, j.Deflections(), stretch)
+	for _, h := range j.Hops {
+		cause := ""
+		if h.Cause != "" {
+			cause = fmt.Sprintf("  [%s: encoded port %d]", h.Cause, h.Encoded)
+		}
+		wait := ""
+		if h.QueueWait > 0 {
+			wait = fmt.Sprintf("  queued %s", fmtMs(h.QueueWait))
+		}
+		in := ""
+		if h.InPort >= 0 {
+			in = fmt.Sprintf("in %d ", h.InPort)
+		}
+		fmt.Fprintf(&b, "  %10s  %-8s %sout %d%s%s\n",
+			fmtMs(h.At), h.Where, in, h.OutPort, cause, wait)
+	}
+	if j.Outcome != "delivered" && j.Outcome != "in-flight" {
+		fmt.Fprintf(&b, "  %10s  %s at %s\n", fmtMs(j.End), j.Outcome, j.Where)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// fmtMs renders a duration in milliseconds to the microsecond.
+func fmtMs(d time.Duration) string {
+	return fmt.Sprintf("%.3fms", float64(d)/float64(time.Millisecond))
 }
 
 // journeyKey identifies one packet instance: transports never reuse a

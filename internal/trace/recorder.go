@@ -1,3 +1,10 @@
+// Package trace is the simulation's packet capture: a causal flight
+// recorder that attaches to a world as its simnet.TraceSink and taps
+// its event log, so sampled packets are recorded hop by hop on the
+// same virtual timeline as control-plane events. Journeys and
+// Reactions rebuild per-packet paths and failure-reaction chains from
+// the records, WriteJourney renders a journey as text, and the
+// exporters write JSONL (read back by kartrace) and Perfetto traces.
 package trace
 
 import (

@@ -172,13 +172,15 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 		r.seen = grown
 	}
 	if r.seen[word]&bit != 0 {
+		st.DupSeqs++
 		r.cDups.Inc()
 		return
 	}
 	r.seen[word] |= bit
+	st.Received++
 	r.cReceived.Inc()
 	st.TotalHops += int64(pkt.Hops)
-	if r.cReceived.Value() == 1 || pkt.Hops < st.MinHops {
+	if st.Received == 1 || pkt.Hops < st.MinHops {
 		st.MinHops = pkt.Hops
 	}
 	if pkt.Hops > st.MaxHops {
@@ -191,6 +193,7 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 	r.hLatency.Observe(float64(lat / time.Microsecond))
 	st.LastArrive = r.clock.Now()
 	if r.gotAny && pkt.Seq < r.highSeq {
+		st.Reordered++
 		r.cReordered.Inc()
 	}
 	if pkt.Seq > r.highSeq || !r.gotAny {
@@ -199,13 +202,12 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 	r.gotAny = true
 }
 
-// Stats returns a snapshot including the sender's emission count,
-// counter fields read back from the registry.
+// Stats returns a snapshot of this receiver's own counts plus the
+// sender's emission count. The registry's kar_udp_* series are keyed
+// by src->dst only, so flows sharing an edge pair share them; the
+// snapshot never reads them back.
 func (r *Receiver) Stats(sender *Sender) Stats {
 	st := r.stats
 	st.Sent = sender.Sent()
-	st.Received = int(r.cReceived.Value())
-	st.Reordered = int(r.cReordered.Value())
-	st.DupSeqs = int(r.cDups.Value())
 	return st
 }

@@ -155,3 +155,39 @@ func TestCBRDuplicateDetection(t *testing.T) {
 		t.Error("nothing delivered under AVP")
 	}
 }
+
+// TestStatsPerReceiverOnSharedPair runs two flows on the same edge pair
+// (IDs 0 and 2). Their kar_udp_* series share the src->dst label, but
+// each receiver's Stats must count only its own packets.
+func TestStatsPerReceiverOnSharedPair(t *testing.T) {
+	w := fig1World(t, "none", false)
+	type flow struct {
+		send *udpsim.Sender
+		recv *udpsim.Receiver
+	}
+	var flows []flow
+	for _, id := range []uint32{0, 2} {
+		s, r := udpsim.NewFlow(w.Net, w.Edges["S"], w.Edges["D"], packet.FlowID{Src: "S", Dst: "D", ID: id}, udpsim.Config{
+			Interval: time.Millisecond, Count: 200,
+		})
+		s.Start()
+		flows = append(flows, flow{s, r})
+	}
+	w.Run(2 * time.Second)
+
+	for i, f := range flows {
+		st := f.recv.Stats(f.send)
+		if st.Sent != 200 || st.Received != 200 {
+			t.Errorf("flow %d: sent/received = %d/%d, want 200/200", i, st.Sent, st.Received)
+		}
+		if st.MinHops != 4 || st.MeanHops() != 4 {
+			t.Errorf("flow %d: hops = min %d / mean %.2f, want 4 (S-SW4-SW7-SW11-D)", i, st.MinHops, st.MeanHops())
+		}
+		if st.Reordered != 0 || st.DupSeqs != 0 {
+			t.Errorf("flow %d: reordered/dups = %d/%d, want 0/0", i, st.Reordered, st.DupSeqs)
+		}
+	}
+	if got := w.Net.Metrics().CounterValue("kar_udp_received_total", "flow", "S->D"); got != 400 {
+		t.Errorf("shared kar_udp_received_total{flow=S->D} = %d, want 400", got)
+	}
+}

@@ -31,6 +31,11 @@ echo "==> go test -race ./..."
 # budget by a wide margin.
 go test -race -timeout 120m ./...
 
+echo "==> go test -fuzz FuzzFromSpec (10s)"
+# Generator specs arrive in untrusted daemon requests: no spec may
+# panic the parser or a generator, or build past the size bounds.
+go test -run '^$' -fuzz '^FuzzFromSpec$' -fuzztime 10s ./internal/topology
+
 echo "==> telemetry smoke test (karsim -exp fig4 -metrics)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
